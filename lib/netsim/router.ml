@@ -11,11 +11,12 @@ let set_default t out = t.default <- Some out
 
 let forward t pkt =
   let dst = pkt.Packet.flow.Addr.dst.Addr.host in
-  match Hashtbl.find_opt t.table dst with
-  | Some out ->
+  (* find, not find_opt: a hit allocates no option box per packet *)
+  match Hashtbl.find t.table dst with
+  | out ->
       t.forwarded <- t.forwarded + 1;
       out pkt
-  | None -> (
+  | exception Not_found -> (
       match t.default with
       | Some out ->
           t.forwarded <- t.forwarded + 1;

@@ -51,32 +51,17 @@ let instantiate ?costs ?rng engine (ir : Check.ir) =
       | Host_impl h, ei :: _ -> Host.attach_route h (Link.send links.(ei))
       | Host_impl _, [] | Router_impl _, _ -> ())
     impls;
-  (* routers: one backward BFS per destination host; next_hop uses the
-     same first-declared-edge tie-break the checker's route function
-     reports, so reachability and installed routes cannot disagree *)
-  Array.iteri
-    (fun dst (n : Check.node) ->
-      if n.Check.n_kind = Spec.Host then begin
-        let dist = Check.dist_to ir ~dst in
-        Array.iteri
-          (fun u impl ->
-            match impl with
-            | Router_impl r -> (
-                match Check.next_hop ir dist u with
-                | Some ei -> Router.add_route r ~dst:n.Check.n_addr (Link.send links.(ei))
-                | None -> ())
-            | Host_impl _ -> ())
-          impls
-      end)
-    ir.Check.ir_nodes;
+  (* routers: every table entry from the checker's own one-pass route
+     compiler, so reachability and installed routes cannot disagree *)
+  Check.iter_routes ir (fun ~dst ~router ~edge ->
+      match impls.(router) with
+      | Router_impl r ->
+          Router.add_route r ~dst:ir.Check.ir_nodes.(dst).Check.n_addr (Link.send links.(edge))
+      | Host_impl _ -> ());
   { engine; ir; impls; links }
 
 let node_index t name =
-  let idx = ref None in
-  Array.iteri
-    (fun i (n : Check.node) -> if n.Check.n_name = name then idx := Some i)
-    t.ir.Check.ir_nodes;
-  match !idx with
+  match Hashtbl.find_opt t.ir.Check.ir_node_idx name with
   | Some i -> i
   | None -> invalid_arg (Printf.sprintf "Build: unknown node %S" name)
 
@@ -86,11 +71,7 @@ let host t name =
   | Router_impl _ -> invalid_arg (Printf.sprintf "Build: %S is a router, not a host" name)
 
 let link t name =
-  let idx = ref None in
-  Array.iteri
-    (fun i (e : Check.edge) -> if e.Check.e_name = name then idx := Some i)
-    t.ir.Check.ir_edges;
-  match !idx with
+  match Hashtbl.find_opt t.ir.Check.ir_edge_idx name with
   | Some i -> t.links.(i)
   | None -> invalid_arg (Printf.sprintf "Build: unknown link %S" name)
 

@@ -2,8 +2,10 @@
 
     Turns a checked {!Check.ir} into live {!Netsim} objects — hosts and
     routers in declaration order, links in declaration order with
-    drop-tail queues, host default routes and per-destination router
-    tables derived from the checker's own BFS — plus a
+    drop-tail queues, host default routes and router tables compiled in
+    one pass by the checker's own {!Check.iter_routes} (a next hop is
+    always a router or the destination host, never a host that does not
+    forward) — plus a
     {!Cm_dynamics.Scenario} program projected from the fault steps.
 
     Construction order and parameters match the hand-built
@@ -29,11 +31,12 @@ val instantiate : ?costs:Costs.t -> ?rng:Cm_util.Rng.t -> Engine.t -> Check.ir -
     jitter). *)
 
 val host : t -> string -> Host.t
-(** Look up a host by spec name; raises [Invalid_argument] for routers
-    or unknown names. *)
+(** Look up a host by spec name (a hash lookup in the IR's name index);
+    raises [Invalid_argument] for routers or unknown names. *)
 
 val link : t -> string -> Link.t
-(** Look up a link by spec name. *)
+(** Look up a link by spec name (hash lookup); raises [Invalid_argument]
+    for unknown names. *)
 
 val links_alist : t -> (string * Link.t) list
 (** All links with their spec names, declaration order — the binding

@@ -49,6 +49,9 @@ type ir = {
   ir_groups : group array;
   ir_faults : fault array;
   ir_out : int list array;  (** per node: out-edge indices, declaration order *)
+  ir_in : int array array;  (** per node: in-edge indices, declaration order *)
+  ir_node_idx : (string, int) Hashtbl.t;  (** node name -> index *)
+  ir_edge_idx : (string, int) Hashtbl.t;  (** link name -> index *)
 }
 
 let is_host ir i = ir.ir_nodes.(i).n_kind = Spec.Host
@@ -65,39 +68,68 @@ let fault_target_str ir = function
 
 (* ---- routing ------------------------------------------------------------ *)
 
-(* Hop distance of every node to [dst], over reversed edges.  Hosts do not
-   forward: expansion continues only through routers (and [dst] itself),
-   so a path "through" a host is never counted.  max_int = unreachable. *)
-let dist_to ir ~dst =
-  let n = Array.length ir.ir_nodes in
-  let dist = Array.make n max_int in
-  (* reverse adjacency: in-edges per node *)
-  let in_edges = Array.make n [] in
-  Array.iteri (fun ei e -> in_edges.(e.e_dst) <- ei :: in_edges.(e.e_dst)) ir.ir_edges;
-  let q = Queue.create () in
-  dist.(dst) <- 0;
-  Queue.push dst q;
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    if v = dst || not (is_host ir v) then
-      List.iter
-        (fun ei ->
-          let u = ir.ir_edges.(ei).e_src in
-          if dist.(u) = max_int then begin
-            dist.(u) <- dist.(v) + 1;
-            Queue.push u q
-          end)
-        in_edges.(v)
-  done;
-  dist
+(* One BFS workspace, reused for every destination of a pass: a distance
+   buffer (max_int = unreachable) and an int-array queue.  After a search
+   [queue.(0 .. visited-1)] are exactly the nodes with a finite distance,
+   so the next search resets only those. *)
+type bfs = { dist : int array; queue : int array; mutable visited : int }
 
-(* Next-hop from [u] toward [dst] under [dist]: the first declared
-   out-edge that steps one hop closer.  Declaration order is the
+let bfs_create ir =
+  let n = Array.length ir.ir_nodes in
+  { dist = Array.make n max_int; queue = Array.make n 0; visited = 0 }
+
+(* Hop distance of every node from/to [root] over [adj] (per node: edge
+   indices).  [toward] searches over in-edges (distance *to* root, the
+   routing direction), otherwise over out-edges (distance *from* root).
+   Hosts do not forward: only [root] and routers expand, so a path
+   "through" a host is never counted. *)
+let bfs_run ir w ~adj ~toward root =
+  let dist = w.dist and queue = w.queue in
+  for i = 0 to w.visited - 1 do
+    dist.(queue.(i)) <- max_int
+  done;
+  dist.(root) <- 0;
+  queue.(0) <- root;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    if v = root || not (is_host ir v) then begin
+      let d = dist.(v) + 1 and es = adj.(v) in
+      for k = 0 to Array.length es - 1 do
+        let e = ir.ir_edges.(es.(k)) in
+        let u = if toward then e.e_src else e.e_dst in
+        if dist.(u) = max_int then begin
+          dist.(u) <- d;
+          queue.(!tail) <- u;
+          incr tail
+        end
+      done
+    end
+  done;
+  w.visited <- !tail
+
+let dist_to ir ~dst =
+  let w = bfs_create ir in
+  bfs_run ir w ~adj:ir.ir_in ~toward:true dst;
+  w.dist
+
+(* The first out-edge in the list that steps from distance [du] one hop
+   closer and lands on a node that forwards — a router — or on the
+   destination itself (distance 0); -1 if none.  Declaration order is the
    deterministic tie-break (no ECMP). *)
-let next_hop ir dist u =
-  if dist.(u) = max_int || dist.(u) = 0 then None
-  else
-    List.find_opt (fun ei -> dist.(ir.ir_edges.(ei).e_dst) = dist.(u) - 1) ir.ir_out.(u)
+let rec first_hop ir dist du = function
+  | [] -> -1
+  | ei :: rest ->
+      let v = ir.ir_edges.(ei).e_dst in
+      if dist.(v) = du - 1 && (du = 1 || not (is_host ir v)) then ei
+      else first_hop ir dist du rest
+
+let hop ir dist u =
+  let du = dist.(u) in
+  if du = max_int || du = 0 then -1 else first_hop ir dist du ir.ir_out.(u)
+
+let next_hop ir dist u = match hop ir dist u with -1 -> None | ei -> Some ei
 
 (* Edge indices along the deterministic route src → dst, if any. *)
 let route ir dist ~src =
@@ -107,6 +139,24 @@ let route ir dist ~src =
     | Some ei -> walk ir.ir_edges.(ei).e_dst (ei :: acc)
   in
   if dist.(src) = max_int then None else walk src []
+
+(* Every router table entry in one pass: destination hosts in declaration
+   order, one reused BFS each, and for every router the search reached,
+   its first declared out-edge that steps closer.  Every reached router
+   has one: it was discovered over an edge into the destination or into
+   a router one hop closer. *)
+let iter_routes ir f =
+  let w = bfs_create ir in
+  Array.iteri
+    (fun dst n ->
+      if n.n_kind = Spec.Host then begin
+        bfs_run ir w ~adj:ir.ir_in ~toward:true dst;
+        for k = 1 to w.visited - 1 do
+          let u = w.queue.(k) in
+          if not (is_host ir u) then f ~dst ~router:u ~edge:(hop ir w.dist u)
+        done
+      end)
+    ir.ir_nodes
 
 (* ---- fault windows ------------------------------------------------------ *)
 
@@ -221,6 +271,11 @@ let elaborate spec =
   let out = Array.make (Stdlib.max 1 (Array.length nodes)) [] in
   Array.iteri (fun ei e -> out.(e.e_src) <- ei :: out.(e.e_src)) edges;
   Array.iteri (fun i l -> out.(i) <- List.rev l) out;
+  let in_ = Array.make (Array.length out) [] in
+  for ei = Array.length edges - 1 downto 0 do
+    in_.(edges.(ei).e_dst) <- ei :: in_.(edges.(ei).e_dst)
+  done;
+  let in_ = Array.map Array.of_list in_ in
   (* 3. hosts are single-homed: at most one outgoing link *)
   Array.iteri
     (fun i n ->
@@ -337,7 +392,10 @@ let elaborate spec =
       | Spec.Node _ | Spec.Link _ | Spec.Group _ -> ())
     spec;
   let faults = Array.of_list (List.rev !faults) in
-  let ir = { ir_nodes = nodes; ir_edges = edges; ir_groups = groups; ir_faults = faults; ir_out = out } in
+  let ir =
+    { ir_nodes = nodes; ir_edges = edges; ir_groups = groups; ir_faults = faults; ir_out = out;
+      ir_in = in_; ir_node_idx = node_idx; ir_edge_idx = edge_idx }
+  in
   (* 7. overlapping bounded disruptions on the same link are ambiguous *)
   let by_target = Hashtbl.create 8 in
   Array.iter
@@ -367,22 +425,18 @@ let elaborate spec =
     by_target;
   (* 8. reachability: every source must reach its destination, and the
      destination must reach every source (the feedback path) *)
+  let out_arrays = Array.map Array.of_list out in
+  let back = bfs_create ir and fwd = bfs_create ir in
   Array.iter
     (fun g ->
-      let back = dist_to ir ~dst:g.g_dst in
-      (* forward from dst = backward over the graph with all edges reversed;
-         reuse dist_to on a reversed view by swapping src/dst *)
-      let rev_ir =
-        { ir with
-          ir_edges = Array.map (fun e -> { e with e_src = e.e_dst; e_dst = e.e_src }) ir.ir_edges }
-      in
-      let fwd = dist_to rev_ir ~dst:g.g_dst in
+      bfs_run ir back ~adj:in_ ~toward:true g.g_dst;
+      bfs_run ir fwd ~adj:out_arrays ~toward:false g.g_dst;
       Array.iter
         (fun s ->
-          if back.(s) = max_int then
+          if back.dist.(s) = max_int then
             err "unreachable" g.g_span "flow group %S: source %S cannot reach %S" g.g_name
               (node_name ir s) (node_name ir g.g_dst);
-          if fwd.(s) = max_int then
+          if fwd.dist.(s) = max_int then
             err "unreachable" g.g_span "flow group %S: %S cannot reach source %S (no feedback path)"
               g.g_name (node_name ir g.g_dst) (node_name ir s))
         g.g_srcs)
@@ -393,10 +447,10 @@ let elaborate spec =
     (fun g ->
       let f = app_floor_bps g.g_app in
       if f > 0. then begin
-        let dist = dist_to ir ~dst:g.g_dst in
+        bfs_run ir back ~adj:in_ ~toward:true g.g_dst;
         Array.iter
           (fun s ->
-            match route ir dist ~src:s with
+            match route ir back.dist ~src:s with
             | Some path -> List.iter (fun ei -> floor_demand.(ei) <- floor_demand.(ei) +. f) path
             | None -> ())
           g.g_srcs
@@ -425,12 +479,13 @@ let elaborate_exn spec =
 
 let elastic_counts ir =
   let counts = Array.make (Stdlib.max 1 (Array.length ir.ir_edges)) 0 in
+  let w = bfs_create ir in
   Array.iter
     (fun g ->
-      let dist = dist_to ir ~dst:g.g_dst in
+      bfs_run ir w ~adj:ir.ir_in ~toward:true g.g_dst;
       Array.iter
         (fun s ->
-          match route ir dist ~src:s with
+          match route ir w.dist ~src:s with
           | Some path -> List.iter (fun ei -> counts.(ei) <- counts.(ei) + 1) path
           | None -> ())
         g.g_srcs)

@@ -24,7 +24,8 @@
       target a declared {e host} (the injector lives on the host's
       receive path), never a router or a link;
     - [unreachable] — every source reaches its destination and vice versa
-      (feedback path), under the hosts-don't-forward routing rule;
+      (feedback path), under the hosts-don't-forward routing rule (a
+      route's next hop is always a router or the destination itself);
     - [oversubscribed] — the inelastic floor (layered sources' base
       layers) routed over each link fits its capacity. *)
 
@@ -78,6 +79,11 @@ type ir = {
   ir_groups : group array;
   ir_faults : fault array;
   ir_out : int list array;  (** per node: out-edge indices, declaration order *)
+  ir_in : int array array;
+      (** per node: in-edge indices, declaration order — the reverse
+          adjacency every routing search runs over, built once here *)
+  ir_node_idx : (string, int) Hashtbl.t;  (** node name -> index *)
+  ir_edge_idx : (string, int) Hashtbl.t;  (** link name -> index *)
 }
 
 val elaborate : Spec.t -> (ir, diag list) result
@@ -90,15 +96,29 @@ val check : Spec.t -> diag list
 val elaborate_exn : Spec.t -> ir
 (** Raises [Invalid_argument] with all diagnostics rendered. *)
 
+val iter_routes : ir -> (dst:int -> router:int -> edge:int -> unit) -> unit
+(** [iter_routes ir f] calls [f ~dst ~router ~edge] once for every
+    router table entry: [router] forwards packets for host [dst] over
+    out-edge [edge].  Destinations come in declaration order; each gets
+    one breadth-first search over [ir_in] in a distance buffer and
+    queue shared by the whole pass, so the pass allocates nothing per
+    destination and costs [O(hosts × (V + E))].  Every router the search
+    reaches gets an entry, chosen exactly as {!next_hop} chooses.  The
+    static checks run the same search, so checker and {!Build} can never
+    disagree on reachability or on the path. *)
+
 val dist_to : ir -> dst:int -> int array
 (** Hop distance of every node to [dst] ([max_int] = unreachable), under
-    the hosts-don't-forward rule.  {!Build} derives routing tables from
-    this, so checker and builder can never disagree on reachability. *)
+    the hosts-don't-forward rule: the search expands only [dst] and
+    routers.  One fresh buffer per call; {!iter_routes} is the
+    all-destinations form. *)
 
 val next_hop : ir -> int array -> int -> int option
 (** [next_hop ir dist u] is the out-edge of [u] one hop closer to the
-    distance map's destination — the first declared such edge, the
-    deterministic tie-break {!Build} installs in routing tables. *)
+    distance map's destination whose far end forwards — a router — or is
+    the destination itself; never a host that merely has a distance of
+    its own.  The first declared such edge wins, the deterministic
+    tie-break {!iter_routes} and {!Build} use. *)
 
 val route : ir -> int array -> src:int -> int list option
 (** [route ir (dist_to ir ~dst) ~src] is the deterministic edge path

@@ -1,8 +1,9 @@
 (* The spec DSL pipeline: parity with the handwritten scenarios family,
    static-check diagnostics (one negative test per code), structural
-   checks of the sugar combinators, a qcheck property that random
-   well-formed specs always check clean and compile, and determinism of
-   the three DSL-native families. *)
+   checks of the sugar combinators, router tables against a
+   per-destination reference, a qcheck property that random well-formed
+   specs always check clean and compile, and determinism of the three
+   DSL-native families. *)
 
 open Cm_util
 module Spec = Cm_spec.Spec
@@ -315,6 +316,125 @@ let test_span_in_diag () =
             && List.mem "outer" d.Check.d_span))
         ds
 
+(* ---- routes: installed router tables ≡ per-destination reference -------- *)
+
+(* Packets offered to a link so far, whatever became of them. *)
+let offered l =
+  let s = Netsim.Link.stats l in
+  s.Netsim.Link.enqueued_pkts + s.Netsim.Link.queue_drops + s.Netsim.Link.channel_drops
+  + s.Netsim.Link.down_drops
+
+(* Read back the tables Build installed through the routers themselves:
+   one probe per (router, destination host) goes through Router.forward,
+   and the link that takes it is the installed next hop.  The reference
+   is the per-destination derivation — one Check.dist_to per host, then
+   Check.next_hop at every router.  Returns the mismatches. *)
+let table_mismatches ir =
+  let b = Build.instantiate (Eventsim.Engine.create ()) ir in
+  let bad = ref [] in
+  Array.iteri
+    (fun dst (n : Check.node) ->
+      if n.Check.n_kind = Spec.Host then begin
+        let dist = Check.dist_to ir ~dst in
+        let flow =
+          Netsim.Addr.flow
+            ~src:(Netsim.Addr.endpoint ~host:n.Check.n_addr ~port:1)
+            ~dst:(Netsim.Addr.endpoint ~host:n.Check.n_addr ~port:1)
+            ~proto:Netsim.Addr.Udp ()
+        in
+        let pkt = Netsim.Packet.make ~now:0 ~flow ~payload_bytes:0 (Netsim.Packet.Raw 0) in
+        Array.iteri
+          (fun u impl ->
+            match impl with
+            | Build.Router_impl r ->
+                let fwd0 = Netsim.Router.forwarded r and miss0 = Netsim.Router.no_route_drops r in
+                let expect = Check.next_hop ir dist u in
+                let before = Option.map (fun ei -> offered b.Build.links.(ei)) expect in
+                Netsim.Router.forward r pkt;
+                let ok =
+                  match (expect, before) with
+                  | Some ei, Some c ->
+                      Netsim.Router.forwarded r = fwd0 + 1 && offered b.Build.links.(ei) = c + 1
+                  | _ -> Netsim.Router.no_route_drops r = miss0 + 1
+                in
+                if not ok then
+                  bad :=
+                    Printf.sprintf "%s -> %s: expected %s" ir.Check.ir_nodes.(u).Check.n_name
+                      n.Check.n_name
+                      (match expect with
+                      | Some ei -> ir.Check.ir_edges.(ei).Check.e_name
+                      | None -> "no route")
+                    :: !bad
+            | Build.Host_impl _ -> ())
+          b.Build.impls
+      end)
+    ir.Check.ir_nodes;
+  List.rev !bad
+
+let test_tables_registered () =
+  List.iter
+    (fun (e : Experiments.Spec_registry.entry) ->
+      List.iter
+        (fun (sub, spec) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s/%s tables" e.Experiments.Spec_registry.name sub)
+            []
+            (table_mismatches (Check.elaborate_exn spec)))
+        e.Experiments.Spec_registry.specs)
+    Experiments.Spec_registry.entries;
+  Alcotest.(check (list string)) "fat_tree k=6 tables" []
+    (table_mismatches (Check.elaborate_exn (Spec.fat_tree ~k:6 ())))
+
+(* Host v sits one hop from router r on the way to h and has a distance
+   of its own through its uplink, and u declares u->v before u->r2.
+   Hosts do not forward, so the route must take r2. *)
+let detour_spec =
+  Spec.(
+    par
+      [
+        node "src";
+        router "u";
+        node "v";
+        router "r2";
+        router "r";
+        node "h";
+        par
+          (List.map
+             (fun (a, b) -> link ~bw:10e6 ~lat:(Time.ms 1) a b)
+             [ ("src", "u"); ("u", "v"); ("u", "r2"); ("v", "r"); ("r2", "r"); ("r", "h");
+               ("h", "r"); ("r", "u"); ("u", "src") ]);
+        flows ~name:"xfer" ~src:[ "src" ] ~dst:"h" ~port:5000 ~app:(bulk ~bytes:64_000) ();
+      ])
+
+let test_no_route_through_host () =
+  let ir = Check.elaborate_exn detour_spec in
+  let idx name = Hashtbl.find ir.Check.ir_node_idx name in
+  let path =
+    match Check.route ir (Check.dist_to ir ~dst:(idx "h")) ~src:(idx "src") with
+    | Some p -> List.map (fun ei -> ir.Check.ir_edges.(ei).Check.e_name) p
+    | None -> []
+  in
+  Alcotest.(check (list string)) "route avoids host v" [ "src->u"; "u->r2"; "r2->r"; "r->h" ] path;
+  Alcotest.(check (list string)) "installed tables" [] (table_mismatches ir);
+  let engine = Eventsim.Engine.create () in
+  let b = Build.instantiate engine ir in
+  let running = Cm_spec.Launch.run b ~driver_for:(fun _ -> None) () in
+  Eventsim.Engine.run ~until:(Time.sec 30.) engine;
+  Alcotest.(check int) "bulk flow finished" 1 (Cm_spec.Launch.done_count (List.hd running))
+
+(* Compiling every router table of the 2050-node cdn_edge spec stays
+   near the cost of creating its hosts and links: no per-destination
+   buffers or adjacency copies. *)
+let test_build_alloc () =
+  let ir = Check.elaborate_exn Cdn_edge.spec in
+  let engine = Eventsim.Engine.create () in
+  let a0 = Gc.allocated_bytes () in
+  let b = Build.instantiate engine ir in
+  let words = (Gc.allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8) in
+  Alcotest.(check int) "links built" (Array.length ir.Check.ir_edges) (Array.length b.Build.links);
+  Alcotest.(check bool) (Printf.sprintf "Build.instantiate allocated %.0f words < 2M" words) true
+    (words < 2e6)
+
 (* ---- property: random well-formed specs check clean and compile --------- *)
 
 (* Generator: a random dumbbell — n_l hosts and n_r hosts bridged by two
@@ -371,6 +491,13 @@ let prop_wellformed_compiles =
           let sc = Build.scenario ~name:"p" ir in
           Scenario.compile engine ~rng ~links:(Build.links_alist b) sc;
           Array.length b.Build.links = Array.length ir.Check.ir_edges)
+
+let prop_wellformed_tables =
+  QCheck.Test.make ~count:60 ~name:"random well-formed specs install the reference router tables"
+    (QCheck.make gen_wellformed) (fun spec ->
+      match table_mismatches (Check.elaborate_exn spec) with
+      | [] -> true
+      | bad -> QCheck.Test.fail_reportf "table mismatches: %s" (String.concat "; " bad))
 
 (* Same shape with the control-fault kind attached to a host: any such
    spec that elaborates must also build (injector installed via
@@ -546,9 +673,18 @@ let () =
           Alcotest.test_case "clients shape + naming" `Quick test_clients_shape;
           Alcotest.test_case "seq shifts phases" `Quick test_seq_offsets;
         ] );
+      ( "routes",
+        [
+          Alcotest.test_case "registered specs: tables ≡ per-destination reference" `Quick
+            test_tables_registered;
+          Alcotest.test_case "next hop never a non-forwarding host" `Quick
+            test_no_route_through_host;
+          Alcotest.test_case "cdn_edge build allocates < 2 Mwords" `Quick test_build_alloc;
+        ] );
       ( "property",
         [
           QCheck_alcotest.to_alcotest prop_wellformed_compiles;
+          QCheck_alcotest.to_alcotest prop_wellformed_tables;
           QCheck_alcotest.to_alcotest prop_ctrl_fault_runs;
         ] );
       ( "families",
