@@ -20,169 +20,27 @@
    baselines are produced together); this tool compares them, it does not
    normalise across hosts.  Files older than the scale section (e.g.
    BENCH_PR4.json) simply have no matching scale points, so only the
-   macro gate applies to them.
+   macro gate applies to them. *)
 
-   The parser below is a deliberately small recursive-descent JSON reader
-   — enough for the bench schema (objects, arrays, strings, numbers,
-   bools, null), no external dependencies. *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word value =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      value
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some '"' -> Buffer.add_char b '"'
-          | Some '\\' -> Buffer.add_char b '\\'
-          | Some '/' -> Buffer.add_char b '/'
-          | Some 'n' -> Buffer.add_char b '\n'
-          | Some 't' -> Buffer.add_char b '\t'
-          | Some 'r' -> Buffer.add_char b '\r'
-          | Some 'b' -> Buffer.add_char b '\b'
-          | Some 'f' -> Buffer.add_char b '\012'
-          | Some 'u' ->
-              (* bench output is ASCII; keep the escape verbatim *)
-              Buffer.add_string b "\\u"
-          | _ -> fail "bad escape");
-          advance ();
-          loop ()
-      | Some c ->
-          Buffer.add_char b c;
-          advance ();
-          loop ()
-    in
-    loop ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    let tok = String.sub s start (!pos - start) in
-    match float_of_string_opt tok with
-    | Some f -> Num f
-    | None -> fail (Printf.sprintf "bad number %S" tok)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Obj (members [])
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          Arr (elements [])
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+open Cm_util
 
 (* ---- accessors --------------------------------------------------------- *)
 
-let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
+let member key = function Json.Obj kvs -> List.assoc_opt key kvs | _ -> None
 
 let path json keys =
   List.fold_left (fun acc k -> match acc with Some j -> member k j | None -> None) (Some json) keys
 
+(* Json.parse returns integral numbers (e.g. events/sec printed with
+   %.0f) as Int: both shapes are numbers here *)
 let number json keys =
-  match path json keys with Some (Num f) -> Some f | _ -> None
+  match path json keys with
+  | Some (Json.Float f) -> Some f
+  | Some (Json.Int i) -> Some (float_of_int i)
+  | _ -> None
 
 let string_of_field json keys =
-  match path json keys with Some (Str s) -> Some s | _ -> None
+  match path json keys with Some (Json.Str s) -> Some s | _ -> None
 
 let read_file path =
   let ic = open_in_bin path in
@@ -194,7 +52,7 @@ let read_file path =
 (* scale points as (scheduler, flows, events_per_sec) *)
 let scale_points json =
   match path json [ "scale"; "points" ] with
-  | Some (Arr pts) ->
+  | Some (Json.List pts) ->
       List.filter_map
         (fun pt ->
           match (string_of_field pt [ "scheduler" ], number pt [ "flows" ], number pt [ "events_per_sec" ]) with
@@ -245,12 +103,13 @@ let () =
   in
   let max_slowdown = !max_slowdown in
   let load p =
-    try parse (read_file p) with
-    | Sys_error e ->
-        Printf.eprintf "bench_diff: %s\n" e;
-        exit 2
-    | Parse_error e ->
+    match Json.parse (read_file p) with
+    | Ok j -> j
+    | Error e ->
         Printf.eprintf "bench_diff: %s: %s\n" p e;
+        exit 2
+    | exception Sys_error e ->
+        Printf.eprintf "bench_diff: %s\n" e;
         exit 2
   in
   let old_j = load old_path and new_j = load new_path in

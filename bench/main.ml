@@ -39,41 +39,9 @@ let run_experiments () =
   print_endline "=====================================================================";
   print_endline " Congestion Manager reproduction: every table and figure (paper sec 4)";
   print_endline "=====================================================================";
-  timed "fig3" (fun () -> Experiments.Fig3.print (Experiments.Fig3.run params));
-  timed "fig4+fig5" (fun () -> Experiments.Fig4_5.print (Experiments.Fig4_5.run params));
-  timed "fig6" (fun () -> Experiments.Fig6.print (Experiments.Fig6.run params));
-  timed "table1" (fun () -> Experiments.Fig6.print_table1 (Experiments.Fig6.run_table1 params));
-  timed "fig7" (fun () -> Experiments.Fig7.print (Experiments.Fig7.run params));
-  timed "fig8" (fun () -> Experiments.Fig8_10.print (Experiments.Fig8_10.run_fig8 params));
-  timed "fig9" (fun () -> Experiments.Fig8_10.print (Experiments.Fig8_10.run_fig9 params));
-  timed "fig10" (fun () -> Experiments.Fig8_10.print (Experiments.Fig8_10.run_fig10 params));
-  timed "micro" (fun () -> Experiments.Micro.print (Experiments.Micro.run params));
-  timed "ablation_sched" (fun () ->
-      Experiments.Ablations.print_scheduler (Experiments.Ablations.run_scheduler params));
-  timed "ablation_ctrl" (fun () ->
-      Experiments.Ablations.print_controller (Experiments.Ablations.run_controller params));
-  timed "ablation_share" (fun () ->
-      Experiments.Ablations.print_sharing (Experiments.Ablations.run_sharing params));
-  timed "sec6_phttp" (fun () ->
-      Experiments.Sec6_phttp.print (Experiments.Sec6_phttp.run params));
-  timed "ext_cmproto" (fun () ->
-      Experiments.Ext_cmproto.print (Experiments.Ext_cmproto.run params));
-  timed "content_adapt" (fun () ->
-      Experiments.Content_adapt.print (Experiments.Content_adapt.run params));
-  timed "ext_merge" (fun () ->
-      Experiments.Ext_merge.print (Experiments.Ext_merge.run params));
-  timed "ablation_fairness" (fun () ->
-      Experiments.Ablations.print_fairness (Experiments.Ablations.run_fairness params));
-  timed "scenarios" (fun () ->
-      Experiments.Scenarios.print params (Experiments.Scenarios.run params));
-  timed "app_faults" (fun () ->
-      Experiments.App_faults.print params (Experiments.App_faults.run params));
-  timed "fattree" (fun () ->
-      Experiments.Fattree.print params (Experiments.Fattree.run params));
-  timed "cdn_edge" (fun () ->
-      Experiments.Cdn_edge.print params (Experiments.Cdn_edge.run params));
-  timed "cellular" (fun () ->
-      Experiments.Cellular.print params (Experiments.Cellular.run params))
+  List.iter
+    (fun (f : Experiments.Family.t) -> timed f.name (fun () -> f.run params))
+    Experiments.Family.distinct
 
 (* ------------------------------------------------------------------ *)
 (* Macrobenchmark: events per second of the simulator core on the Fig. 6
@@ -335,7 +303,7 @@ let run_scale () =
                while an N=4096 run lasts ~200 ms and cannot.  So rounds
                are scaled inversely with N (same ~790k events per sample,
                ~0.3 s each), each sample starts from a compacted heap (the
-               19 experiments before leave a big dead major heap whose
+               experiment families run before leave a big dead major heap whose
                sweep would tax the measured run), and the minimum wall of
                [reps] identical runs filters the ±15% machine-load swings
                out.  The runs are deterministic, so repetitions differ
@@ -427,14 +395,6 @@ let bench_timer_rearm () =
   Eventsim.Timer.start t 1_000_000;
   fun () -> Eventsim.Timer.start t 1_000_000
 
-let bench_heap () =
-  let h = Heap.create () in
-  let i = ref 0 in
-  fun () ->
-    incr i;
-    ignore (Heap.insert h ~prio:(!i land 1023) !i);
-    ignore (Heap.extract_min h)
-
 (* timing-wheel near path: inserts landing within the wheel horizon (the
    vast majority — timer re-arms, transmit completions, grant events) *)
 let bench_wheel_near () =
@@ -459,14 +419,6 @@ let bench_wheel_far () =
     time := !time + 30_000_000;
     ignore (Wheel.insert w ~time:!time !i);
     ignore (Wheel.pop_min w)
-
-let bench_heap_update_prio () =
-  let h = Heap.create () in
-  let handles = Array.init 256 (fun i -> Heap.insert h ~prio:i i) in
-  let i = ref 0 in
-  fun () ->
-    incr i;
-    ignore (Heap.update_prio h handles.(!i land 255) ~prio:(!i land 4095))
 
 let bench_scheduler () =
   let s = Cm.Scheduler.round_robin () in
@@ -572,8 +524,6 @@ let hot_paths : (string * (unit -> unit)) list =
     ("engine schedule+step", bench_engine_event ());
     ("engine sched/cancel/extract cycle", bench_engine_cycle ());
     ("timer re-arm", bench_timer_rearm ());
-    ("heap insert+extract", bench_heap ());
-    ("heap update_prio", bench_heap_update_prio ());
     ("wheel insert+pop near", bench_wheel_near ());
     ("wheel insert+pop overflow", bench_wheel_far ());
     ("rr scheduler cycle", bench_scheduler ());

@@ -10,40 +10,21 @@
 open Exp_common
 
 let experiments =
-  [ "fig6"; "fig7"; "fig8"; "fig9"; "scenarios"; "app_faults"; "feedback_faults" ]
+  List.filter_map
+    (fun f -> match f.Family.sub_runs with [] -> None | _ -> Some f.Family.name)
+    Family.all
 
-(* One capture = one (sub-run name, telemetry) list.  Families that run a
-   single simulated system report under their own name; multi-system
-   families get one report per sub-run. *)
+(* One capture = one (sub-run name, telemetry) list, oldest first: each
+   of the family's sub-runs reports under its own name. *)
 let capture ~expt ~seed =
-  let trace_capture e = List.map (fun tel -> (expt, tel)) (Trace_run.capture ~expt:e ~seed) in
-  match expt with
-  | "fig6" | "fig7" | "fig8" | "fig9" -> trace_capture expt
-  | "scenarios" ->
-      List.map
-        (fun sub ->
-          let name = "scenario_" ^ sub in
-          (name, List.hd (Trace_run.capture ~expt:name ~seed)))
-        [ "burst"; "outage"; "sawtooth" ]
-  | "app_faults" ->
-      (* the storm case exercises the defenses end to end; the baseline
-         case would report all-pass, which is less interesting to read *)
-      Netsim.Packet.reset_ids ();
-      let req = request_telemetry () in
-      let params = { default_params with seed; telemetry = Some req } in
-      ignore (App_faults.run_case params App_faults.Storm);
-      List.map (fun tel -> ("app_faults_storm", tel)) (List.rev req.captured)
-  | "feedback_faults" ->
-      (* the blackout case drives every defense counter; the baseline
-         would report all-pass *)
-      Netsim.Packet.reset_ids ();
-      let req = request_telemetry () in
-      let params = { default_params with seed; telemetry = Some req } in
-      ignore (Feedback_faults.run_case params Feedback_faults.Blackout);
-      List.map (fun tel -> ("feedback_faults_blackout", tel)) (List.rev req.captured)
-  | e ->
+  match Family.find expt with
+  | Some { Family.sub_runs = _ :: _ as subs; _ } ->
+      List.concat_map
+        (fun (name, _) -> List.map (fun tel -> (name, tel)) (Trace_run.capture ~expt:name ~seed))
+        subs
+  | _ ->
       invalid_arg
-        (Printf.sprintf "report: unknown experiment %S (known: %s)" e
+        (Printf.sprintf "report: unknown experiment %S (known: %s)" expt
            (String.concat ", " experiments))
 
 let analyze_all ~expt ~seed =
@@ -66,16 +47,12 @@ let report_markdown ~expt reports =
     reports;
   Buffer.contents buf
 
-type artifact = { a_name : string; a_path : string; a_bytes : int }
+type artifact = Trace_run.artifact = { a_name : string; a_path : string; a_bytes : int }
 
 let run ?(out_dir = "reports") ~expt ~seed () =
   let reports = analyze_all ~expt ~seed in
-  Trace_run.ensure_dir out_dir;
-  let emit name contents =
-    let path = Filename.concat out_dir (expt ^ name) in
-    Trace_run.write_file path contents;
-    { a_name = expt ^ name; a_path = path; a_bytes = String.length contents }
-  in
+  Telemetry.Recorder.ensure_dir out_dir;
+  let emit suffix contents = Trace_run.write_artifact ~out_dir (expt ^ suffix) contents in
   let json = Json.to_string (report_json reports) ^ "\n" in
   let artifacts =
     [ emit ".report.json" json; emit ".report.md" (report_markdown ~expt reports) ]
@@ -90,3 +67,33 @@ let print artifacts =
     (fun a ->
       prerr_endline (Printf.sprintf "  %-28s %8d bytes  %s" a.a_name a.a_bytes a.a_path))
     artifacts
+
+let check_dump path =
+  match open_in path with
+  | exception Sys_error msg ->
+      Printf.eprintf "cm_expt report: %s\n" msg;
+      1
+  | ic ->
+      let bad = ref 0 and lines = ref 0 in
+      (try
+         while true do
+           let line = input_line ic in
+           if String.trim line <> "" then begin
+             incr lines;
+             match Json.parse line with
+             | Ok _ -> ()
+             | Error msg ->
+                 incr bad;
+                 Printf.eprintf "%s:%d: %s\n" path !lines msg
+           end
+         done
+       with End_of_file -> ());
+      close_in ic;
+      if !bad > 0 then begin
+        Printf.eprintf "cm_expt report: %d invalid line(s) in %s\n" !bad path;
+        1
+      end
+      else begin
+        Printf.printf "%s: %d JSON line(s), all valid\n" path !lines;
+        0
+      end

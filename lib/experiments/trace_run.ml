@@ -1,4 +1,4 @@
-(* Instrumented experiment runs: execute one experiment with telemetry
+(* Instrumented experiment runs: execute one family sub-run with telemetry
    wired up and export the artifacts (JSONL trace, Chrome trace_event
    document, time-series CSV, metrics snapshot).
 
@@ -9,61 +9,41 @@
 
 open Exp_common
 
-let experiments =
-  [
-    "fig6"; "fig7"; "fig8"; "fig9"; "scenario_burst"; "scenario_outage"; "scenario_sawtooth";
-  ]
-
-(* Deliberately smaller workloads than the figure runs: the artifacts are
-   for inspection (Perfetto, spreadsheets), not for the paper's numbers. *)
-let run_expt params = function
-  | "fig6" -> ignore (Fig6.measure_macro params Fig6.Tcp_cm ~size:1448 ~n:2_000)
-  | "fig7" -> ignore (Fig7.run_side params ~use_cm:true ~count:3 ~file_bytes:(64 * 1024))
-  | "fig8" -> ignore (Fig8_10.run_fig8 params)
-  | "fig9" -> ignore (Fig8_10.run_fig9 params)
-  | "scenario_burst" ->
-      ignore (Scenarios.run_one params ~scenario:Scenarios.Burst_loss ~app:Scenarios.Tcp_cm_bulk)
-  | "scenario_outage" ->
-      ignore (Scenarios.run_one params ~scenario:Scenarios.Outage ~app:Scenarios.Tcp_cm_bulk)
-  | "scenario_sawtooth" ->
-      ignore
-        (Scenarios.run_one params ~scenario:Scenarios.Sawtooth ~app:Scenarios.Layered_stream)
-  | e ->
-      invalid_arg
-        (Printf.sprintf "trace: unknown experiment %S (known: %s)" e
-           (String.concat ", " experiments))
+let experiments = List.map fst Family.sub_runs
 
 (* Run instrumented and return the captured telemetry (oldest first: the
    first simulated system an experiment builds comes first). *)
 let capture ~expt ~seed =
+  let run =
+    match List.assoc_opt expt Family.sub_runs with
+    | Some run -> run
+    | None ->
+        invalid_arg
+          (Printf.sprintf "trace: unknown experiment %S (known: %s)" expt
+             (String.concat ", " experiments))
+  in
   (* packet ids are process-global and appear in the trace: restart them
      so repeated in-process captures stay byte-identical *)
   Netsim.Packet.reset_ids ();
   let req = request_telemetry () in
-  let params = { default_params with seed; telemetry = Some req } in
-  run_expt params expt;
+  run { default_params with seed; telemetry = Some req };
   match List.rev req.captured with
   | [] -> failwith (Printf.sprintf "trace: experiment %S captured no telemetry" expt)
   | tels -> tels
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
+type artifact = { a_name : string; a_path : string; a_bytes : int }
 
-let write_file path contents =
+let write_artifact ~out_dir name contents =
+  let path = Filename.concat out_dir name in
   let oc = open_out_bin path in
   output_string oc contents;
-  close_out oc
-
-type artifact = { a_name : string; a_path : string; a_bytes : int }
+  close_out oc;
+  { a_name = name; a_path = path; a_bytes = String.length contents }
 
 let run ?(out_dir = "traces") ~expt ~seed () =
   let tel = List.hd (capture ~expt ~seed) in
-  ensure_dir out_dir;
-  let emit name contents =
-    let path = Filename.concat out_dir (expt ^ name) in
-    write_file path contents;
-    { a_name = expt ^ name; a_path = path; a_bytes = String.length contents }
-  in
+  Telemetry.Recorder.ensure_dir out_dir;
+  let emit suffix contents = write_artifact ~out_dir (expt ^ suffix) contents in
   [
     emit ".trace.jsonl" (Telemetry.export_jsonl tel);
     emit ".chrome.json" (Telemetry.export_chrome tel);

@@ -9,7 +9,11 @@ type t = {
   mutable files : string list; (* newest first *)
 }
 
-let ensure_dir dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
+let rec ensure_dir dir =
+  if not (Sys.file_exists dir) then begin
+    ensure_dir (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
 
 let dump t ~reason =
   ensure_dir t.out_dir;

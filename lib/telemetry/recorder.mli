@@ -31,6 +31,10 @@ val create :
 val trace : t -> Trace.t
 (** The ring — hand this to the components to instrument. *)
 
+val ensure_dir : string -> unit
+(** Create a directory and any missing parents ([mkdir -p]); every
+    artifact writer ([trace], [report], dumps) goes through it. *)
+
 val dump : t -> reason:string -> string
 (** Write the ring now; returns the file path.  Call on audit violations,
     quarantines, or any other "explain what just happened" trigger. *)

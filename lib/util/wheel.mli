@@ -45,8 +45,8 @@ val remove : 'a t -> 'a handle -> bool
 
 val update : 'a t -> 'a handle -> time:int -> bool
 (** Move a queued entry to a new time with a fresh sequence number
-    (remove + reinsert semantics, matching {!Heap.update_prio}).
-    [false] if the handle was not queued. *)
+    (remove + reinsert semantics: among equal times it pops after every
+    entry already queued).  [false] if the handle was not queued. *)
 
 val mem : 'a t -> 'a handle -> bool
 val handle_time : 'a handle -> int

@@ -164,6 +164,57 @@ let test_of_telemetry_smoke () =
   in
   Alcotest.(check string) "end-to-end byte-identical for the same seed" s1 s2
 
+(* ---- cm_expt report/trace file handling -------------------------------- *)
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+
+let with_temp_dir f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "cm-test-report-%d" (Unix.getpid ()))
+  in
+  rm_rf dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+let write path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+let test_check_dump_missing_file () =
+  with_temp_dir (fun dir ->
+      Alcotest.(check int) "missing dump exits 1" 1
+        (Experiments.Report_run.check_dump (Filename.concat dir "missing.dump.jsonl")))
+
+let test_check_dump_lines () =
+  with_temp_dir (fun dir ->
+      let good = Filename.concat dir "good.dump.jsonl" in
+      let bad = Filename.concat dir "bad.dump.jsonl" in
+      write good "{\"recorder\": \"t\"}\n\n{\"ts_ns\": 1}\n";
+      write bad "{\"recorder\": \"t\"}\n{\"ts_ns\": \n";
+      Alcotest.(check int) "valid dump exits 0" 0 (Experiments.Report_run.check_dump good);
+      Alcotest.(check int) "invalid line exits 1" 1 (Experiments.Report_run.check_dump bad))
+
+let test_nested_out_dirs () =
+  with_temp_dir (fun dir ->
+      let traces = Filename.concat (Filename.concat dir "a") "traces" in
+      let arts = Experiments.Trace_run.run ~out_dir:traces ~expt:"fig6" ~seed:1 () in
+      Alcotest.(check int) "four trace artifacts" 4 (List.length arts);
+      List.iter
+        (fun (a : Experiments.Trace_run.artifact) -> "trace artifact written" => Sys.file_exists a.a_path)
+        arts;
+      let reports = Filename.concat (Filename.concat dir "b") "reports" in
+      let arts = Experiments.Report_run.run ~out_dir:reports ~expt:"fig6" ~seed:1 () in
+      "report json written" => Sys.file_exists (Filename.concat reports "fig6.report.json");
+      Alcotest.(check int) "two report artifacts" 2 (List.length arts))
+
 let () =
   Alcotest.run "report"
     [
@@ -180,5 +231,12 @@ let () =
           Alcotest.test_case "deterministic + parseable" `Quick
             test_rendering_deterministic_and_parseable;
           Alcotest.test_case "of_telemetry end to end" `Quick test_of_telemetry_smoke;
+        ] );
+      ( "files",
+        [
+          Alcotest.test_case "check_dump: missing file exits 1" `Quick
+            test_check_dump_missing_file;
+          Alcotest.test_case "check_dump: invalid line exits 1" `Quick test_check_dump_lines;
+          Alcotest.test_case "trace/report --out creates parents" `Quick test_nested_out_dirs;
         ] );
     ]

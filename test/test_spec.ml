@@ -373,15 +373,15 @@ let table_mismatches ir =
 
 let test_tables_registered () =
   List.iter
-    (fun (e : Experiments.Spec_registry.entry) ->
+    (fun (f : Experiments.Family.t) ->
       List.iter
         (fun (sub, spec) ->
           Alcotest.(check (list string))
-            (Printf.sprintf "%s/%s tables" e.Experiments.Spec_registry.name sub)
+            (Printf.sprintf "%s/%s tables" f.name sub)
             []
             (table_mismatches (Check.elaborate_exn spec)))
-        e.Experiments.Spec_registry.specs)
-    Experiments.Spec_registry.entries;
+        f.specs)
+    Experiments.Family.all;
   Alcotest.(check (list string)) "fat_tree k=6 tables" []
     (table_mismatches (Check.elaborate_exn (Spec.fat_tree ~k:6 ())))
 
@@ -638,6 +638,44 @@ let test_netsim_validation () =
   check_invalid "droptail zero bytes" (fun () ->
       Netsim.Queue_disc.droptail ~limit_bytes:0 ~limit_pkts:10 ())
 
+(* ---- the experiment-family registry ---------------------------------- *)
+
+let test_registry_names_unique () =
+  let names = List.map (fun (f : Experiments.Family.t) -> f.name) Experiments.Family.all in
+  Alcotest.(check int) "family names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  let subs = List.map fst Experiments.Family.sub_runs in
+  Alcotest.(check int) "sub-run names unique" (List.length subs)
+    (List.length (List.sort_uniq compare subs))
+
+let test_registry_trace_report_names () =
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) (e ^ " traceable") true (List.mem e Experiments.Trace_run.experiments))
+    [ "fig6"; "fig7"; "fig8"; "fig9"; "scenario_burst"; "scenario_outage"; "scenario_sawtooth" ];
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) (e ^ " reportable") true (List.mem e Experiments.Report_run.experiments))
+    [ "fig6"; "fig7"; "fig8"; "fig9"; "scenarios"; "app_faults"; "feedback_faults" ]
+
+let test_registry_specs_check () =
+  let with_specs =
+    List.filter (fun (f : Experiments.Family.t) -> f.specs <> []) Experiments.Family.all
+  in
+  Alcotest.(check (list string)) "spec-authored families"
+    [ "scenarios"; "fattree"; "cdn_edge"; "cellular" ]
+    (List.map (fun (f : Experiments.Family.t) -> f.name) with_specs);
+  List.iter
+    (fun (f : Experiments.Family.t) ->
+      List.iter
+        (fun (sub, spec) ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s/%s static checks" f.name sub)
+            []
+            (List.map Check.diag_str (Check.check spec)))
+        f.specs)
+    with_specs
+
 let () =
   Alcotest.run "spec"
     [
@@ -680,6 +718,13 @@ let () =
           Alcotest.test_case "next hop never a non-forwarding host" `Quick
             test_no_route_through_host;
           Alcotest.test_case "cdn_edge build allocates < 2 Mwords" `Quick test_build_alloc;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "names unique" `Quick test_registry_names_unique;
+          Alcotest.test_case "trace and report names resolve" `Quick
+            test_registry_trace_report_names;
+          Alcotest.test_case "spec families pass Check.check" `Quick test_registry_specs_check;
         ] );
       ( "property",
         [

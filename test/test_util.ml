@@ -1,4 +1,4 @@
-(* Tests for cm_util: time, rng, heap, stats, ewma, timeline, byte_queue. *)
+(* Tests for cm_util: time, rng, heap (wheel), stats, ewma, timeline, byte_queue. *)
 
 open Cm_util
 
@@ -129,50 +129,65 @@ let test_rng_split_independent () =
 
 (* ---- Heap ------------------------------------------------------------ *)
 
+(* The reference priority queue is [Wheel] in pure-heap mode ([~slots:0]),
+   the engine's [CM_ENGINE=heap] backend; these tests drive it in heap
+   terms.  The model test also runs a 4-slot wheel of 4-tick slots, so the
+   same operation streams cross its wheel, overflow and current-slot
+   stores. *)
+
+let heap () = Wheel.create ~slots:0 ()
+let insert h ~prio v = Wheel.insert h ~time:prio v
+
+let extract_min h =
+  if Wheel.is_empty h then None
+  else
+    let e = Wheel.pop_min h in
+    Some (Wheel.handle_time e, Wheel.handle_value e)
+
 let test_heap_orders () =
-  let h = Heap.create () in
-  List.iter (fun p -> ignore (Heap.insert h ~prio:p p)) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let out = List.init 7 (fun _ -> Heap.extract_min h) |> List.filter_map Fun.id in
+  let h = heap () in
+  List.iter (fun p -> ignore (insert h ~prio:p p)) [ 5; 1; 4; 1; 3; 9; 0 ];
+  let out = List.init 7 (fun _ -> extract_min h) |> List.filter_map Fun.id in
   Alcotest.(check (list (pair int int)))
     "sorted output"
     [ (0, 0); (1, 1); (1, 1); (3, 3); (4, 4); (5, 5); (9, 9) ]
     out
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  ignore (Heap.insert h ~prio:7 "first");
-  ignore (Heap.insert h ~prio:7 "second");
-  ignore (Heap.insert h ~prio:7 "third");
-  let order = List.init 3 (fun _ -> Heap.extract_min h) |> List.filter_map Fun.id |> List.map snd in
+  let h = heap () in
+  ignore (insert h ~prio:7 "first");
+  ignore (insert h ~prio:7 "second");
+  ignore (insert h ~prio:7 "third");
+  let order = List.init 3 (fun _ -> extract_min h) |> List.filter_map Fun.id |> List.map snd in
   Alcotest.(check (list string)) "FIFO among equal priorities" [ "first"; "second"; "third" ] order
 
 let test_heap_remove () =
-  let h = Heap.create () in
-  let _a = Heap.insert h ~prio:1 "a" in
-  let b = Heap.insert h ~prio:2 "b" in
-  let _c = Heap.insert h ~prio:3 "c" in
-  "remove succeeds" => Heap.remove h b;
-  "second remove fails" => not (Heap.remove h b);
-  let out = List.init 3 (fun _ -> Heap.extract_min h) |> List.filter_map Fun.id |> List.map snd in
+  let h = heap () in
+  let _a = insert h ~prio:1 "a" in
+  let b = insert h ~prio:2 "b" in
+  let _c = insert h ~prio:3 "c" in
+  "remove succeeds" => Wheel.remove h b;
+  "second remove fails" => not (Wheel.remove h b);
+  let out = List.init 3 (fun _ -> extract_min h) |> List.filter_map Fun.id |> List.map snd in
   Alcotest.(check (list string)) "b removed" [ "a"; "c" ] out
 
 let test_heap_clear_and_size () =
-  let h = Heap.create () in
+  let h = heap () in
   for i = 1 to 100 do
-    ignore (Heap.insert h ~prio:i i)
+    ignore (insert h ~prio:i i)
   done;
-  Alcotest.(check int) "size" 100 (Heap.size h);
-  Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Heap.size h);
-  "extract on empty" => (Heap.extract_min h = None)
+  Alcotest.(check int) "size" 100 (Wheel.size h);
+  Wheel.filter_in_place h (fun _ -> false);
+  Alcotest.(check int) "cleared" 0 (Wheel.size h);
+  "extract on empty" => (extract_min h = None)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap extracts in priority order" ~count:200
     QCheck.(list small_int)
     (fun prios ->
-      let h = Heap.create () in
-      List.iter (fun p -> ignore (Heap.insert h ~prio:p p)) prios;
-      let out = List.init (List.length prios) (fun _ -> Heap.extract_min h) in
+      let h = heap () in
+      List.iter (fun p -> ignore (insert h ~prio:p p)) prios;
+      let out = List.init (List.length prios) (fun _ -> extract_min h) in
       let out = List.filter_map Fun.id out |> List.map fst in
       out = List.sort Stdlib.compare prios)
 
@@ -180,59 +195,59 @@ let prop_heap_removal_consistent =
   QCheck.Test.make ~name:"heap removal keeps order" ~count:100
     QCheck.(pair (list small_int) (list bool))
     (fun (prios, removes) ->
-      let h = Heap.create () in
-      let handles = List.map (fun p -> (p, Heap.insert h ~prio:p p)) prios in
+      let h = heap () in
+      let handles = List.map (fun p -> (p, insert h ~prio:p p)) prios in
       let kept =
         List.filteri
           (fun i (_, hd) ->
             let remove = List.nth_opt removes i = Some true in
-            if remove then ignore (Heap.remove h hd);
+            if remove then ignore (Wheel.remove h hd);
             not remove)
           handles
         |> List.map fst
       in
-      let out = List.init (List.length kept) (fun _ -> Heap.extract_min h) in
+      let out = List.init (List.length kept) (fun _ -> extract_min h) in
       let out = List.filter_map Fun.id out |> List.map fst in
       out = List.sort Stdlib.compare kept)
 
 let test_heap_update_prio () =
-  let h = Heap.create () in
-  let a = Heap.insert h ~prio:10 "a" in
-  let _b = Heap.insert h ~prio:20 "b" in
-  let c = Heap.insert h ~prio:30 "c" in
-  "decrease-key succeeds" => Heap.update_prio h c ~prio:5;
-  "increase-key succeeds" => Heap.update_prio h a ~prio:40;
-  let out = List.init 3 (fun _ -> Heap.extract_min h) |> List.filter_map Fun.id in
+  let h = heap () in
+  let a = insert h ~prio:10 "a" in
+  let _b = insert h ~prio:20 "b" in
+  let c = insert h ~prio:30 "c" in
+  "decrease-key succeeds" => Wheel.update h c ~time:5;
+  "increase-key succeeds" => Wheel.update h a ~time:40;
+  let out = List.init 3 (fun _ -> extract_min h) |> List.filter_map Fun.id in
   Alcotest.(check (list (pair int string)))
     "re-keyed order" [ (5, "c"); (20, "b"); (40, "a") ] out;
-  "update after extraction fails" => not (Heap.update_prio h c ~prio:1)
+  "update after extraction fails" => not (Wheel.update h c ~time:1)
 
 let test_heap_update_prio_refreshes_fifo () =
   (* a re-keyed element behaves like a fresh insert among equal priorities *)
-  let h = Heap.create () in
-  let a = Heap.insert h ~prio:7 "rekeyed" in
-  ignore (Heap.insert h ~prio:7 "second");
-  "same-prio update" => Heap.update_prio h a ~prio:7;
-  let order = List.init 2 (fun _ -> Heap.extract_min h) |> List.filter_map Fun.id |> List.map snd in
+  let h = heap () in
+  let a = insert h ~prio:7 "rekeyed" in
+  ignore (insert h ~prio:7 "second");
+  "same-prio update" => Wheel.update h a ~time:7;
+  let order = List.init 2 (fun _ -> extract_min h) |> List.filter_map Fun.id |> List.map snd in
   Alcotest.(check (list string)) "re-keyed element moved behind" [ "second"; "rekeyed" ] order
 
 let test_heap_reinsert () =
   (* an extracted entry can be recycled: same value, fresh key, and FIFO
      behaviour identical to a fresh insert among equal priorities *)
-  let h = Heap.create () in
-  let a = Heap.insert h ~prio:10 "recycled" in
-  ignore (Heap.extract_min h);
-  "extracted handle is dead" => not (Heap.mem h a);
-  ignore (Heap.insert h ~prio:7 "tie-first");
-  Heap.reinsert h a ~prio:7;
-  "reinserted handle is live" => Heap.mem h a;
-  let out = List.init 2 (fun _ -> Heap.extract_min h) |> List.filter_map Fun.id in
+  let h = heap () in
+  let a = insert h ~prio:10 "recycled" in
+  ignore (extract_min h);
+  "extracted handle is dead" => not (Wheel.mem h a);
+  ignore (insert h ~prio:7 "tie-first");
+  Wheel.reinsert h a ~time:7;
+  "reinserted handle is live" => Wheel.mem h a;
+  let out = List.init 2 (fun _ -> extract_min h) |> List.filter_map Fun.id in
   Alcotest.(check (list (pair int string)))
     "reinserted entry behaves like a fresh insert"
     [ (7, "tie-first"); (7, "recycled") ]
     out;
   (try
-     Heap.reinsert h (Heap.insert h ~prio:1 "live") ~prio:2;
+     Wheel.reinsert h (insert h ~prio:1 "live") ~time:2;
      Alcotest.fail "reinsert of a live handle must raise"
    with Invalid_argument _ -> ())
 
@@ -244,76 +259,77 @@ let test_heap_reinsert () =
 let prop_heap_model =
   let open QCheck in
   let op = triple (int_bound 3) (int_bound 20) (int_bound 100) in
+  let agrees h ops =
+    let seq = ref 0 in
+    let next_id = ref 0 in
+    (* model: association list id -> (prio, seq); handles: id -> handle *)
+    let model = ref [] in
+    let handles = Hashtbl.create 16 in
+    let ok = ref true in
+    let check b = if not b then ok := false in
+    let expected_min () =
+      List.fold_left
+        (fun acc (id, (p, s)) ->
+          match acc with
+          | Some (_, (bp, bs)) when (bp, bs) <= (p, s) -> acc
+          | _ -> Some (id, (p, s)))
+        None !model
+    in
+    let pick_id k =
+      (* any id ever created: lets us hit stale handles too *)
+      if !next_id = 0 then None else Some (k mod !next_id)
+    in
+    List.iter
+      (fun (kind, prio, k) ->
+        match kind with
+        | 0 ->
+            let id = !next_id in
+            incr next_id;
+            Hashtbl.replace handles id (insert h ~prio id);
+            model := (id, (prio, !seq)) :: !model;
+            incr seq
+        | 1 -> (
+            match expected_min () with
+            | None -> check (extract_min h = None)
+            | Some (id, (p, _)) ->
+                model := List.remove_assoc id !model;
+                check (extract_min h = Some (p, id)))
+        | 2 -> (
+            match pick_id k with
+            | None -> ()
+            | Some id ->
+                let live = List.mem_assoc id !model in
+                let r = Wheel.remove h (Hashtbl.find handles id) in
+                check (r = live);
+                if live then model := List.remove_assoc id !model)
+        | _ -> (
+            match pick_id k with
+            | None -> ()
+            | Some id ->
+                let live = List.mem_assoc id !model in
+                let r = Wheel.update h (Hashtbl.find handles id) ~time:prio in
+                check (r = live);
+                if live then begin
+                  model := (id, (prio, !seq)) :: List.remove_assoc id !model;
+                  incr seq
+                end))
+      ops;
+    (* drain: remaining elements must come out in (prio, seq) order *)
+    check (Wheel.size h = List.length !model);
+    let rec drain () =
+      match expected_min () with
+      | None -> check (extract_min h = None)
+      | Some (id, (p, _)) ->
+          model := List.remove_assoc id !model;
+          check (extract_min h = Some (p, id));
+          drain ()
+    in
+    drain ();
+    !ok
+  in
   Test.make ~name:"heap matches reference model (insert/extract/remove/update_prio, FIFO)"
     ~count:300 (list op)
-    (fun ops ->
-      let h = Heap.create () in
-      let seq = ref 0 in
-      let next_id = ref 0 in
-      (* model: association list id -> (prio, seq); handles: id -> handle *)
-      let model = ref [] in
-      let handles = Hashtbl.create 16 in
-      let ok = ref true in
-      let check b = if not b then ok := false in
-      let expected_min () =
-        List.fold_left
-          (fun acc (id, (p, s)) ->
-            match acc with
-            | Some (_, (bp, bs)) when (bp, bs) <= (p, s) -> acc
-            | _ -> Some (id, (p, s)))
-          None !model
-      in
-      let pick_id k =
-        (* any id ever created: lets us hit stale handles too *)
-        if !next_id = 0 then None else Some (k mod !next_id)
-      in
-      List.iter
-        (fun (kind, prio, k) ->
-          match kind with
-          | 0 ->
-              let id = !next_id in
-              incr next_id;
-              Hashtbl.replace handles id (Heap.insert h ~prio id);
-              model := (id, (prio, !seq)) :: !model;
-              incr seq
-          | 1 -> (
-              match expected_min () with
-              | None -> check (Heap.extract_min h = None)
-              | Some (id, (p, _)) ->
-                  model := List.remove_assoc id !model;
-                  check (Heap.extract_min h = Some (p, id)))
-          | 2 -> (
-              match pick_id k with
-              | None -> ()
-              | Some id ->
-                  let live = List.mem_assoc id !model in
-                  let r = Heap.remove h (Hashtbl.find handles id) in
-                  check (r = live);
-                  if live then model := List.remove_assoc id !model)
-          | _ -> (
-              match pick_id k with
-              | None -> ()
-              | Some id ->
-                  let live = List.mem_assoc id !model in
-                  let r = Heap.update_prio h (Hashtbl.find handles id) ~prio in
-                  check (r = live);
-                  if live then begin
-                    model := (id, (prio, !seq)) :: List.remove_assoc id !model;
-                    incr seq
-                  end))
-        ops;
-      (* drain: remaining elements must come out in (prio, seq) order *)
-      check (Heap.size h = List.length !model);
-      let rec drain () =
-        match expected_min () with
-        | None -> check (Heap.extract_min h = None)
-        | Some (id, (p, _)) ->
-            model := List.remove_assoc id !model;
-            check (Heap.extract_min h = Some (p, id));
-            drain ()
-      in
-      drain ();
-      !ok)
+    (fun ops -> agrees (heap ()) ops && agrees (Wheel.create ~bits:2 ~slots:4 ()) ops)
 
 (* ---- Stats ----------------------------------------------------------- *)
 
