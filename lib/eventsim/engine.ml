@@ -26,13 +26,27 @@ open Cm_util
    does not retain its peak memory forever.  The wheel's own sequence
    number makes reuse safe: a handle captures the entry's seq at
    schedule time; seqs are unique over the wheel's lifetime and
-   refreshed on every reinsert, so cancel/reschedule on a stale handle
-   (its entry since recycled for a newer event) sees a seq mismatch and
-   reports [false], exactly as the unpooled engine reported [false] for
-   an already-fired event. *)
-type handle = { entry : (unit -> unit) Wheel.handle; mutable h_seq : int }
+   refreshed on every reinsert, so cancel on a stale handle (its entry
+   since recycled for a newer event) sees a seq mismatch and reports
+   [false], exactly as the unpooled engine reported [false] for an
+   already-fired event.  A handle is re-targetable: {!rearm} moves its
+   event in place while the entry is still queued under it, and
+   otherwise binds the same handle record to a freshly pooled entry, so
+   a timer holds one handle for life.
+
+   Zero-delay posts bypass the wheel: they go to a FIFO lane of
+   (callback, time, seq) rings, stamped with the clock and a fresh wheel
+   seq.  Lane entries are never cancelled and their keys only grow, so
+   the lane is sorted; a pop takes the lane head unless the wheel's
+   minimum is smaller by (time, seq) — an exact two-way merge.  The
+   heap backend keeps every post in the heap, so it stays the plain
+   reference the wheel and lane are diffed against. *)
+type handle = { mutable entry : (unit -> unit) Wheel.handle; mutable h_seq : int }
 
 let dead : unit -> unit = fun () -> ()
+
+(* the entry of a handle bound to no event: never queued, seq -1 *)
+let unbound : (unit -> unit) Wheel.handle = Wheel.detached dead
 
 (* a GC-safe hole for unused pool slots: an immediate, never dereferenced *)
 let null_entry : (unit -> unit) Wheel.handle = Obj.magic 0
@@ -77,6 +91,12 @@ type t = {
   mutable pool : (unit -> unit) Wheel.handle array; (* popped entries awaiting reuse *)
   mutable pool_len : int; (* stack: pool.(0 .. pool_len-1) are live *)
   mutable pool_hw : int; (* high-water of [pool_len] *)
+  lane_on : bool; (* wheel backend: zero-delay posts use the lane *)
+  mutable lane_fn : (unit -> unit) array; (* ring, power-of-two capacity *)
+  mutable lane_at : int array;
+  mutable lane_seq : int array;
+  mutable lane_head : int;
+  mutable lane_len : int;
   mutable executed : int;
   mutable cancelled : int; (* dead events still sitting in [queue] *)
   mutable clamped : int; (* negative-delay schedules clamped to "now" *)
@@ -100,6 +120,12 @@ let create ?(start = Time.zero) ?(wheel = wheel_default) () =
     pool = Array.make 64 null_entry;
     pool_len = 0;
     pool_hw = 0;
+    lane_on = wheel;
+    lane_fn = Array.make 64 dead;
+    lane_at = Array.make 64 0;
+    lane_seq = Array.make 64 0;
+    lane_head = 0;
+    lane_len = 0;
     executed = 0;
     cancelled = 0;
     clamped = 0;
@@ -259,17 +285,60 @@ let schedule_after t d fn =
   if d < 0 then t.clamped <- t.clamped + 1;
   schedule_at t (Time.add t.clock (Stdlib.max d 0)) fn
 
-(* Fire-and-forget schedule: same queue behaviour as [schedule_after]
+let lane_push t fn =
+  let cap = Array.length t.lane_fn in
+  if t.lane_len = cap then begin
+    (* unroll the ring into arrays twice the size *)
+    let grow a fill =
+      let b = Array.make (2 * cap) fill in
+      for i = 0 to cap - 1 do
+        b.(i) <- a.((t.lane_head + i) land (cap - 1))
+      done;
+      b
+    in
+    t.lane_fn <- grow t.lane_fn dead;
+    t.lane_at <- grow t.lane_at 0;
+    t.lane_seq <- grow t.lane_seq 0;
+    t.lane_head <- 0
+  end;
+  let i = (t.lane_head + t.lane_len) land (Array.length t.lane_fn - 1) in
+  t.lane_fn.(i) <- fn;
+  t.lane_at.(i) <- t.clock;
+  t.lane_seq.(i) <- Wheel.take_seq t.queue;
+  t.lane_len <- t.lane_len + 1
+
+(* Whether the lane head precedes everything in the wheel. *)
+let lane_first t =
+  t.lane_len > 0
+  && Wheel.precedes_min t.queue ~time:t.lane_at.(t.lane_head) ~seq:t.lane_seq.(t.lane_head)
+
+(* Pop the lane head and run it (the caller checked [lane_first]). *)
+let lane_run t =
+  let i = t.lane_head in
+  let f = t.lane_fn.(i) in
+  t.lane_fn.(i) <- dead;
+  t.lane_head <- (i + 1) land (Array.length t.lane_fn - 1);
+  t.lane_len <- t.lane_len - 1;
+  t.clock <- t.lane_at.(i);
+  t.executed <- t.executed + 1;
+  dispatch t f
+
+(* Fire-and-forget schedule: same pop position as [schedule_after]
    (including the seq sequence, so pop order is unchanged), but no
    handle record is built — the allocation-free path for callers that
-   never cancel, which is every per-grant and per-cycle event. *)
+   never cancel, which is every per-grant and per-cycle event.  A
+   zero-delay post on the wheel backend joins the lane instead of the
+   wheel. *)
 let post t d fn =
   if d < 0 then t.clamped <- t.clamped + 1;
-  ignore (enqueue t (Time.add t.clock (Stdlib.max d 0)) fn)
+  if d <= 0 && t.lane_on then lane_push t fn
+  else ignore (enqueue t (Time.add t.clock (Stdlib.max d 0)) fn)
 
-(* A handle is live iff its entry has not been recycled or rescheduled
-   since the handle was made (seq matches — seqs are never reused) and
-   the event has neither fired nor been cancelled. *)
+let idle_handle () = { entry = unbound; h_seq = -1 }
+
+(* A handle is live iff its entry has not been recycled or moved by
+   anyone else since the handle last bound it (seq matches — seqs are
+   never reused) and the event has neither fired nor been cancelled. *)
 let live h = Wheel.handle_seq h.entry = h.h_seq && Wheel.handle_value h.entry != dead
 
 (* Compact once dead entries dominate: rare (amortized O(1) per cancel),
@@ -291,23 +360,31 @@ let cancel t h =
     true
   end
 
-let reschedule t h when_ =
+(* While the entry is still queued under this handle — pending, or
+   cancelled but not yet surfaced — it is moved in place; otherwise the
+   handle binds a pooled entry.  Either way the event takes one fresh seq,
+   exactly as a cancel followed by a new schedule would. *)
+let rearm t h when_ fn =
   if when_ < t.clock then
     invalid_arg
-      (Format.asprintf "Engine.reschedule: %a is in the past (now %a)" Time.pp when_ Time.pp
-         t.clock);
-  if not (live h) then false
-  else begin
-    ignore (Wheel.update t.queue h.entry ~time:when_);
-    (* the move took a fresh seq; track it so this handle stays live *)
-    h.h_seq <- Wheel.handle_seq h.entry;
-    true
+      (Format.asprintf "Engine.rearm: %a is in the past (now %a)" Time.pp when_ Time.pp t.clock);
+  let e = h.entry in
+  if Wheel.handle_seq e = h.h_seq && Wheel.mem t.queue e then begin
+    if Wheel.handle_value e == dead then t.cancelled <- t.cancelled - 1;
+    Wheel.set_handle_value e fn;
+    ignore (Wheel.update t.queue e ~time:when_)
   end
+  else h.entry <- enqueue t when_ fn;
+  h.h_seq <- Wheel.handle_seq h.entry
 
-let pending t = Wheel.size t.queue - t.cancelled
+let pending t = Wheel.size t.queue - t.cancelled + t.lane_len
 
 let rec step t =
-  if Wheel.is_empty t.queue then false
+  if lane_first t then begin
+    lane_run t;
+    true
+  end
+  else if Wheel.is_empty t.queue then false
   else begin
     let entry = Wheel.pop_min t.queue in
     let f = Wheel.handle_value entry in
@@ -338,7 +415,10 @@ let run ?until t =
     (fun () ->
       let continue = ref true in
       while !continue do
-        if Wheel.is_empty t.queue then continue := false
+        if lane_first t then begin
+          if t.lane_at.(t.lane_head) > limit then continue := false else lane_run t
+        end
+        else if Wheel.is_empty t.queue then continue := false
         else begin
           let entry = Wheel.min_handle t.queue in
           let f = Wheel.handle_value entry in

@@ -12,12 +12,13 @@ type t
 (** An engine instance. *)
 
 type handle
-(** Names a scheduled event so it can be cancelled or rescheduled.
+(** Names a scheduled event so it can be cancelled or re-armed.
     Cancellation is lazy (O(1) mark-dead, skipped when it reaches the head
     of the queue).  Event cells are pooled and recycled across schedules;
-    a stamp in the handle keeps stale handles safe — cancel/reschedule on
-    an event that already ran simply return [false], even if its cell has
-    since been reused for a newer event. *)
+    a stamp in the handle keeps stale handles safe — cancel on an event
+    that already ran simply returns [false], and {!rearm} leaves the cell's
+    new tenant alone, even if the cell has since been reused for a newer
+    event. *)
 
 val create : ?start:Time.t -> ?wheel:bool -> unit -> t
 (** [create ()] is a fresh engine with the clock at [start]
@@ -42,21 +43,28 @@ val schedule_after : t -> Time.span -> (unit -> unit) -> handle
     {!schedules_clamped}. *)
 
 val post : t -> Time.span -> (unit -> unit) -> unit
-(** [post t d f] is {!schedule_after} without the handle: same queue
+(** [post t d f] is {!schedule_after} without the handle: same pop
     position, same FIFO stamp sequence, but nothing is allocated for the
     caller to hold.  For fire-and-forget events that are never cancelled
-    or rescheduled — the per-grant and per-cycle hot paths. *)
+    or re-armed — the per-grant and per-cycle hot paths.  With [d <= 0]
+    the wheel backend appends [f] to a FIFO lane that merges with the
+    queue in exact (time, FIFO) order, so it costs no queue work at all. *)
 
 val cancel : t -> handle -> bool
 (** Cancel a pending event; [false] if it already ran or was cancelled.
     O(1): the event is marked dead and discarded when it surfaces. *)
 
-val reschedule : t -> handle -> Time.t -> bool
-(** [reschedule t h when_] moves a still-pending event to a new time in
-    place (no cancellation churn, no allocation); among events at the same
-    time it behaves as if freshly scheduled.  Returns [false] if the event
-    already ran or was cancelled.  Rescheduling into the past raises
-    [Invalid_argument]. *)
+val idle_handle : unit -> handle
+(** A handle bound to no event: {!cancel} returns [false] and {!rearm}
+    schedules.  For callers that keep one handle for life (timers). *)
+
+val rearm : t -> handle -> Time.t -> (unit -> unit) -> unit
+(** [rearm t h when_ f] makes [h] name one pending event that runs [f] at
+    [when_], replacing whatever [h] named before.  A still-pending (or
+    cancelled, not yet discarded) event is moved in place; otherwise a
+    pooled cell is bound to the same handle, so neither path allocates.
+    Among events at the same time it behaves as if freshly scheduled.
+    Re-arming into the past raises [Invalid_argument]. *)
 
 val pending : t -> int
 (** Number of events still queued. *)

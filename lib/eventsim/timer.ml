@@ -3,7 +3,7 @@ open Cm_util
 type t = {
   engine : Engine.t;
   callback : unit -> unit;
-  mutable handle : Engine.handle option;
+  handle : Engine.handle; (* one for life, re-targeted by every arm *)
   mutable armed : bool;
   mutable expiry : Time.t; (* meaningful only when [armed] *)
   mutable period : Time.span; (* 0 = one-shot *)
@@ -11,18 +11,25 @@ type t = {
 }
 
 (* Re-arm to an absolute expiry.  If the previous engine event is still
-   pending (the common TCP retransmit-reset case) it is moved in place —
-   no cancellation churn and no allocation; otherwise one fresh event is
-   scheduled with the timer's single pre-allocated fire closure. *)
+   pending (the common TCP retransmit-reset case) it is moved in place;
+   otherwise the handle takes a pooled cell.  Neither allocates: the fire
+   closure and the handle are made once, in [create]. *)
 let arm_at t when_ =
   t.armed <- true;
   t.expiry <- when_;
-  let moved = match t.handle with Some h -> Engine.reschedule t.engine h when_ | None -> false in
-  if not moved then t.handle <- Some (Engine.schedule_at t.engine when_ t.fire)
+  Engine.rearm t.engine t.handle when_ t.fire
 
 let create engine ~callback =
   let t =
-    { engine; callback; handle = None; armed = false; expiry = 0; period = 0; fire = ignore }
+    {
+      engine;
+      callback;
+      handle = Engine.idle_handle ();
+      armed = false;
+      expiry = 0;
+      period = 0;
+      fire = ignore;
+    }
   in
   t.fire <-
     Engine.prof_tag engine ~cat:"timer"
@@ -36,9 +43,7 @@ let create engine ~callback =
   t
 
 let stop t =
-  (match t.handle with
-  | Some h when t.armed -> ignore (Engine.cancel t.engine h)
-  | _ -> ());
+  if t.armed then ignore (Engine.cancel t.engine t.handle);
   t.armed <- false;
   t.period <- 0
 

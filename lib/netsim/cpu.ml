@@ -12,7 +12,7 @@ let run t ~cost fn =
   let start = Time.max now t.free_at in
   let finish = Time.add start cost in
   t.free_at <- finish;
-  if finish <= now then fn () else ignore (Engine.schedule_at t.engine finish fn)
+  if finish <= now then fn () else Engine.post t.engine (Time.diff finish now) fn
 
 let charge t cost =
   if cost < 0 then invalid_arg "Cpu.charge: negative cost";

@@ -37,6 +37,7 @@ let report_json (r : Engine.prof_report) =
           [
             ("overflow_inserts", Int q.Wheel.overflow_inserts);
             ("overflow_migrations", Int q.Wheel.overflow_migrations);
+            ("cascades", Int q.Wheel.cascades);
             ("hw_size", Int q.Wheel.hw_size);
             ("hw_cur", Int q.Wheel.hw_cur);
           ] );
@@ -69,7 +70,9 @@ let summary engine =
            r.Engine.pr_minor_words r.Engine.pr_major_words r.Engine.pr_promoted_words
            r.Engine.pr_minor_collections r.Engine.pr_major_collections);
       Buffer.add_string b
-        (Printf.sprintf "  queue: hw %d (cur-slot hw %d), overflow %d inserts / %d migrations; pool hw %d"
-           q.Wheel.hw_size q.Wheel.hw_cur q.Wheel.overflow_inserts q.Wheel.overflow_migrations
-           r.Engine.pr_pool_hw);
+        (Printf.sprintf
+           "  queue: hw %d (cur-slot hw %d), %d level-2 cascades, overflow %d inserts / %d \
+            migrations; pool hw %d"
+           q.Wheel.hw_size q.Wheel.hw_cur q.Wheel.cascades q.Wheel.overflow_inserts
+           q.Wheel.overflow_migrations r.Engine.pr_pool_hw);
       Buffer.contents b

@@ -1,9 +1,11 @@
-(** Hashed timing wheel with an exact total pop order.
+(** Two-level hashed timing wheel with an exact total pop order.
 
     A mutable priority queue keyed by [(time, seq)] — [seq] is an internal
     counter making keys unique, so ties pop FIFO — that routes entries by
-    temporal distance: near-future entries land in O(1) wheel slots, the
-    current slot drains through a small binary heap, and far-future entries
+    temporal distance: near-future entries land in O(1) level-1 slots,
+    entries up to 64 revolutions out land in O(1) level-2 buckets that
+    cascade into level 1 as the cursor reaches them, the current slot
+    drains through a small binary heap, and entries beyond level 2
     overflow into a heap and migrate forward as the wheel turns.  The pop
     sequence is exactly the sorted [(time, seq)] order, identical to a
     single binary heap over the same keys; [~slots:0] degenerates to that
@@ -15,8 +17,9 @@ type 'a handle
 val create : ?bits:int -> ?slots:int -> ?start:int -> unit -> 'a t
 (** [create ()] makes an empty wheel.  [bits] sets the slot width to
     [2^bits] time units (default 14: 16.384 us at nanosecond resolution);
-    [slots] is the number of wheel slots, a power of two (default 1024,
-    i.e. a ~16.8 ms horizon), or [0] for pure-heap mode; [start] is the
+    [slots] is the number of level-1 slots, a power of two (default 1024,
+    i.e. a ~16.8 ms horizon; level 2 adds 64 buckets of one revolution
+    each, ~1.07 s), or [0] for pure-heap mode; [start] is the
     earliest time the wheel must order exactly (the engine's clock
     origin).  Raises [Invalid_argument] on a non-power-of-two [slots]. *)
 
@@ -24,7 +27,7 @@ val size : 'a t -> int
 val is_empty : 'a t -> bool
 
 val insert : 'a t -> time:int -> 'a -> 'a handle
-(** O(1) within the horizon, O(log overflow) beyond it. *)
+(** O(1) within the level-2 horizon, O(log overflow) beyond it. *)
 
 val reinsert : 'a t -> 'a handle -> time:int -> unit
 (** Re-queue an extracted entry, reusing its block (no allocation).  Takes
@@ -34,6 +37,12 @@ val reinsert : 'a t -> 'a handle -> time:int -> unit
 val min_handle : 'a t -> 'a handle
 (** Handle of the minimum-key entry, without removing it.  May advance the
     wheel cursor internally.  Raises [Invalid_argument] if empty. *)
+
+val precedes_min : 'a t -> time:int -> seq:int -> bool
+(** Whether the key [(time, seq)] orders before every queued entry ([true]
+    when empty) — the merge test for a FIFO of {!take_seq}-stamped
+    entries.  Refills the current-slot heap only when the answer depends
+    on it. *)
 
 val pop_min : 'a t -> 'a handle
 (** Remove and return the minimum-key entry.
@@ -48,7 +57,18 @@ val update : 'a t -> 'a handle -> time:int -> bool
     (remove + reinsert semantics: among equal times it pops after every
     entry already queued).  [false] if the handle was not queued. *)
 
+val take_seq : 'a t -> int
+(** Consume the next sequence number without queueing anything, for an
+    entry the caller keeps in a store of its own: a FIFO whose entries are
+    stamped this way merges with the wheel in exact [(time, seq)] order by
+    comparing its head against {!min_handle}. *)
+
 val mem : 'a t -> 'a handle -> bool
+
+val detached : 'a -> 'a handle
+(** A handle that belongs to no wheel ([mem] is [false]); {!reinsert} may
+    queue it.  Its sequence number is [-1], which no queued entry has. *)
+
 val handle_time : 'a handle -> int
 val handle_value : 'a handle -> 'a
 
@@ -68,8 +88,9 @@ val filter_in_place : 'a t -> ('a -> bool) -> unit
     become not-queued.  O(n). *)
 
 type stats = {
-  overflow_inserts : int;  (** inserts routed beyond the wheel horizon *)
+  overflow_inserts : int;  (** inserts routed beyond the level-2 horizon *)
   overflow_migrations : int;  (** overflow entries later moved into the current-slot heap *)
+  cascades : int;  (** level-2 entries moved down into level-1 slots *)
   hw_size : int;  (** high-water of total queued entries *)
   hw_cur : int;  (** high-water of the current-slot heap (one slot's occupancy) *)
   size_now : int;  (** entries queued right now *)

@@ -624,34 +624,45 @@ let test_idle_restart_resets_window () =
   (* without the option, state persists (covered by the fig7 test) *)
   ignore grown
 
-(* window conservation under a random client, as a qcheck property *)
+(* Window conservation under a random client.  The CM bounds
+   [outstanding + granted] by [cwnd + mtu] at the moment it extends
+   credit, so the bound is checked there: in the send callback, before
+   the client notifies.  After an action the sum may legitimately exceed
+   it — a [Transient] loss halves cwnd while the pipe still holds the old
+   window (Macroflow.run_grants) — so after every action the check is
+   the CM's own breach counter, which must stay 0. *)
+let window_conserved actions =
+  let engine = Engine.create () in
+  let cm = Cm.create engine ~mtu () in
+  let fid = Cm.open_flow cm (flow_key ()) in
+  let mf = Cm.macroflow_of cm fid in
+  let ok = ref true in
+  Cm.register_send cm fid (fun _ ->
+      if Macroflow.outstanding mf + Macroflow.granted mf > Macroflow.cwnd mf + mtu then
+        ok := false;
+      Cm.notify cm fid ~nbytes:mtu);
+  List.iter
+    (fun a ->
+      (match a with
+      | 0 -> Cm.request cm fid
+      | 1 -> Cm.update cm fid ~nsent:mtu ~nrecd:mtu ~loss:Cm_types.No_loss ~rtt:(Time.ms 5) ()
+      | _ -> Cm.update cm fid ~nsent:mtu ~nrecd:0 ~loss:Cm_types.Transient ());
+      Engine.run_for engine (Time.us 100);
+      if Macroflow.conservation_breaches mf <> 0 then ok := false)
+    actions;
+  !ok
+
 let prop_window_conservation =
   QCheck.Test.make ~name:"macroflow never exceeds cwnd" ~count:50
     QCheck.(small_list (int_bound 2))
-    (fun actions ->
-      let engine = Engine.create () in
-      let cm = Cm.create engine ~mtu () in
-      let fid = Cm.open_flow cm (flow_key ()) in
-      let mf = Cm.macroflow_of cm fid in
-      let ok = ref true in
-      let check () =
-        if Macroflow.outstanding mf + Macroflow.granted mf > Macroflow.cwnd mf + mtu then
-          ok := false
-      in
-      Cm.register_send cm fid (fun _ ->
-          Cm.notify cm fid ~nbytes:mtu;
-          check ());
-      List.iter
-        (fun a ->
-          (match a with
-          | 0 -> Cm.request cm fid
-          | 1 -> Cm.update cm fid ~nsent:mtu ~nrecd:mtu ~loss:Cm_types.No_loss ~rtt:(Time.ms 5) ()
-          | _ -> Cm.update cm fid ~nsent:mtu ~nrecd:0 ~loss:Cm_types.Transient ());
-          Engine.run_for engine (Time.us 100);
-          check ())
-        actions;
-      !ok)
+    window_conserved
 
+(* The input that made the earlier after-every-action form of the
+   property fail: right after the Transient loss, outstanding + granted
+   is 4000 against cwnd 2500 + mtu 1000, with no breach at grant time. *)
+let test_window_conserved_after_transient () =
+  Alcotest.(check bool) "conserved across the loss" true
+    (window_conserved [ 1; 1; 0; 0; 0; 0; 0; 0; 1; 1; 0; 2; 0 ])
 
 (* every controller, under any event sequence: window stays within
    [mtu, max]; reset restores the initial window *)
@@ -820,6 +831,8 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_window_conservation;
+          Alcotest.test_case "window conserved after a transient loss" `Quick
+            test_window_conserved_after_transient;
           QCheck_alcotest.to_alcotest prop_controller_invariants;
         ] );
     ]

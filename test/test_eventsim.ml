@@ -84,40 +84,54 @@ let test_step_and_counters () =
   "step on empty returns false" => not (Engine.step e);
   Alcotest.(check int) "executed count" 2 (Engine.events_executed e)
 
+(* [rearm] on a pending event moves it (it fires once, at the new time,
+   after events already queued there); on a fired one it schedules again
+   under the same handle. *)
 let test_reschedule () =
   let e = Engine.create () in
   let fired_at = ref [] in
-  let h = Engine.schedule_at e (Time.ms 10) (fun () -> fired_at := Engine.now e :: !fired_at) in
-  "reschedule live event" => Engine.reschedule e h (Time.ms 30);
-  ignore (Engine.schedule_at e (Time.ms 20) (fun () -> fired_at := Engine.now e :: !fired_at));
+  let f () = fired_at := Engine.now e :: !fired_at in
+  let h = Engine.schedule_at e (Time.ms 10) f in
+  ignore (Engine.schedule_at e (Time.ms 30) (fun () -> fired_at := -1 :: !fired_at));
+  Engine.rearm e h (Time.ms 30) f;
+  ignore (Engine.schedule_at e (Time.ms 20) f);
+  Alcotest.(check int) "moved, not duplicated" 3 (Engine.pending e);
   Engine.run e;
   Alcotest.(check (list int))
-    "rescheduled event fired at new time, after the other"
-    [ Time.ms 20; Time.ms 30 ]
+    "re-armed event fired at its new time, after the one queued there first"
+    [ Time.ms 20; -1; Time.ms 30 ]
     (List.rev !fired_at);
-  "reschedule after firing returns false" => not (Engine.reschedule e h (Time.ms 40))
+  Engine.rearm e h (Time.ms 40) f;
+  "re-armed after firing: the same handle names the new event" => Engine.cancel e h;
+  Engine.run e;
+  Alcotest.(check int) "cancelled re-arm never fired" 3 (List.length !fired_at)
 
 let test_reschedule_cancelled_returns_false () =
   let e = Engine.create () in
-  let h = Engine.schedule_at e (Time.ms 10) (fun () -> ()) in
+  let fired_at = ref [] in
+  let f () = fired_at := Engine.now e :: !fired_at in
+  let h = Engine.schedule_at e (Time.ms 10) f in
   ignore (Engine.cancel e h);
-  "reschedule of cancelled handle fails" => not (Engine.reschedule e h (Time.ms 20));
+  Alcotest.(check int) "cancelled event not pending" 0 (Engine.pending e);
+  Engine.rearm e h (Time.ms 20) f;
+  Alcotest.(check int) "re-armed event pending once" 1 (Engine.pending e);
   Engine.run e;
-  Alcotest.(check int) "nothing executed" 0 (Engine.events_executed e)
+  Alcotest.(check (list int)) "fired once, at the re-armed time" [ Time.ms 20 ] !fired_at;
+  "an idle handle cancels nothing" => not (Engine.cancel e (Engine.idle_handle ()))
 
 let test_stale_handle_after_reuse () =
   (* event cells are pooled: after an event fires, the next schedule
-     recycles its cell.  A handle to the fired event must stay inert —
-     cancel/reschedule return false and must not touch the new tenant. *)
+     recycles its cell.  A handle to the fired event must not touch the
+     new tenant: cancel returns false, and rearm binds a cell of its own. *)
   let e = Engine.create () in
   let fired = ref [] in
   let h1 = Engine.schedule_at e (Time.ms 10) (fun () -> fired := 1 :: !fired) in
   Engine.run e;
   let _h2 = Engine.schedule_at e (Time.ms 20) (fun () -> fired := 2 :: !fired) in
   "cancel of fired handle is inert" => not (Engine.cancel e h1);
-  "reschedule of fired handle is inert" => not (Engine.reschedule e h1 (Time.ms 99));
+  Engine.rearm e h1 (Time.ms 99) (fun () -> fired := 3 :: !fired);
   Engine.run e;
-  Alcotest.(check (list int)) "both events fired, reused cell unharmed" [ 2; 1 ] !fired
+  Alcotest.(check (list int)) "reused cell unharmed, re-armed handle fired" [ 3; 2; 1 ] !fired
 
 let test_clamped_counter () =
   let e = Engine.create () in
@@ -150,6 +164,26 @@ let test_run_for () =
   Alcotest.(check int) "not yet" 0 !fired;
   Engine.run_for e (Time.ms 60);
   Alcotest.(check int) "fired in second window" 1 !fired
+
+(* [run_for] leaves the clock past the wheel's cursor.  An event then
+   scheduled at the new "now" sits in a wheel store (level 1, level 2 or
+   overflow, by distance) while a later zero-delay post joins the lane;
+   both carry the same time, so the scheduled one, stamped first, must
+   run first — the lane may not win just because the cursor lags. *)
+let test_lane_after_run_for () =
+  List.iter
+    (fun gap ->
+      let e = Engine.create () in
+      let log = ref [] in
+      ignore (Engine.schedule_at e (Time.us 1) ignore);
+      Engine.run_for e gap;
+      ignore (Engine.schedule_at e (Engine.now e) (fun () -> log := 1 :: !log));
+      Engine.post e 0 (fun () -> log := 2 :: !log);
+      Engine.run e;
+      Alcotest.(check (list int))
+        (Format.asprintf "scheduled first, after a %a window" Time.pp gap)
+        [ 1; 2 ] (List.rev !log))
+    [ Time.us 20; Time.ms 5; Time.ms 100; Time.ms 2_000 ]
 
 (* ---- Timer ---------------------------------------------------------- *)
 
@@ -376,56 +410,158 @@ let prop_engine_order =
       List.rev !out = List.stable_sort Stdlib.compare delays)
 
 (* The wheel backend must be observationally identical to the heap
-   backend: drive both engines through the same randomized program —
-   schedules on both sides of the ~16.8 ms wheel horizon (so entries
-   land in the current slot, wheel slots, and the overflow heap, and
-   migrate across on cursor advance), cancels, reschedules, bounded runs
-   (which exercise cell reuse/reinsertion from the pool) — and require
-   identical execution sequences, identical cancel/reschedule results,
-   and identical clocks. *)
+   backend: drive both engines through the same randomized program and
+   require identical execution sequences, cancel results, pending counts
+   and clocks.  Offsets reach from the current slot to past the level-2
+   horizon (~1.07 s), so entries land in every store — current-slot heap,
+   level-1 slots, level-2 buckets, overflow — and cascade or migrate on
+   cursor advance.  The program also posts at delay 0 (the wheel engine's
+   FIFO lane) and above, re-arms handles, drives timers through start,
+   stop and periodic re-arm, and runs bounded windows (cell reuse from
+   the pool, clocks moved past the cursor).  Some events, when they run,
+   post at delay 0 and schedule at delay 0, so lane entries race queued
+   entries at the same instant. *)
 let prop_wheel_matches_heap =
-  QCheck.Test.make ~name:"wheel engine pop sequence = heap engine pop sequence" ~count:80
-    QCheck.(list (triple (int_bound 5) (int_bound 3_000) small_nat))
+  let offset t k =
+    match k mod 4 with
+    | 0 -> Time.us t (* within a few level-1 slots *)
+    | 1 -> Time.us (t * 20) (* up to 60 ms: level 1 and 2 *)
+    | 2 -> Time.us (t * 400) (* up to 1.2 s: level 2 and overflow *)
+    | _ -> Time.ms t (* up to 3 s: mostly overflow *)
+  in
+  QCheck.Test.make ~name:"wheel engine pop sequence = heap engine pop sequence" ~count:200
+    QCheck.(list (triple (int_bound 10) (int_bound 3_000) small_nat))
     (fun ops ->
       let ew = Engine.create ~wheel:true () in
       let eh = Engine.create ~wheel:false () in
       let logw = ref [] and logh = ref [] in
+      let ev e log i () =
+        log := i :: !log;
+        if i mod 3 = 0 then begin
+          Engine.post e 0 (fun () -> log := (-i - 1) :: !log);
+          ignore (Engine.schedule_after e 0 (fun () -> log := (-i - 1_000_000) :: !log))
+        end
+      in
       let hs = ref [] in
       let nth k = match !hs with [] -> None | l -> List.nth_opt l (k mod List.length l) in
+      let timers =
+        Array.init 4 (fun j ->
+            ( Timer.create ew ~callback:(ev ew logw (2_000_000 + j)),
+              Timer.create eh ~callback:(ev eh logh (2_000_000 + j)) ))
+      in
       let id = ref 0 in
+      let fresh () =
+        let i = !id in
+        incr id;
+        i
+      in
+      let same what a b = if a <> b then failwith (what ^ " mismatch") in
       List.iter
         (fun (op, t, k) ->
-          match op with
-          | 0 | 1 | 2 ->
-              (* offsets up to 60 ms: ~3.6x the horizon *)
-              let when_ = Time.add (Engine.now ew) (Time.us (t * 20)) in
-              let i = !id in
-              incr id;
-              let hw = Engine.schedule_at ew when_ (fun () -> logw := i :: !logw) in
-              let hh = Engine.schedule_at eh when_ (fun () -> logh := i :: !logh) in
+          let d = offset t k in
+          (match op with
+          | 0 | 1 ->
+              let i = fresh () in
+              let when_ = Time.add (Engine.now ew) d in
+              let hw = Engine.schedule_at ew when_ (ev ew logw i) in
+              let hh = Engine.schedule_at eh when_ (ev eh logh i) in
               hs := (hw, hh) :: !hs
-          | 3 -> (
-              match nth k with
-              | Some (hw, hh) ->
-                  if Engine.cancel ew hw <> Engine.cancel eh hh then
-                    failwith "cancel result mismatch"
-              | None -> ())
+          | 2 ->
+              let i = fresh () in
+              Engine.post ew 0 (ev ew logw i);
+              Engine.post eh 0 (ev eh logh i)
+          | 3 ->
+              let i = fresh () in
+              Engine.post ew d (ev ew logw i);
+              Engine.post eh d (ev eh logh i)
           | 4 -> (
               match nth k with
-              | Some (hw, hh) ->
-                  let when_ = Time.add (Engine.now ew) (Time.us (t * 20)) in
-                  if Engine.reschedule ew hw when_ <> Engine.reschedule eh hh when_ then
-                    failwith "reschedule result mismatch"
+              | Some (hw, hh) -> same "cancel result" (Engine.cancel ew hw) (Engine.cancel eh hh)
               | None -> ())
+          | 5 -> (
+              match nth k with
+              | Some (hw, hh) ->
+                  let i = fresh () in
+                  let when_ = Time.add (Engine.now ew) d in
+                  Engine.rearm ew hw when_ (ev ew logw i);
+                  Engine.rearm eh hh when_ (ev eh logh i)
+              | None -> ())
+          | 6 ->
+              let tw, th = timers.(k mod 4) in
+              Timer.start tw d;
+              Timer.start th d
+          | 7 ->
+              let tw, th = timers.(k mod 4) in
+              Timer.stop tw;
+              Timer.stop th
+          | 8 ->
+              let tw, th = timers.(k mod 4) in
+              let p = Stdlib.max (Time.ms 2) d in
+              Timer.start_periodic tw p;
+              Timer.start_periodic th p
           | _ ->
-              let d = Time.us (t * 5) in
               Engine.run_for ew d;
-              Engine.run_for eh d;
-              if Engine.now ew <> Engine.now eh then failwith "clock mismatch")
+              Engine.run_for eh d);
+          same "clock" (Engine.now ew) (Engine.now eh);
+          same "pending" (Engine.pending ew) (Engine.pending eh))
         ops;
+      (* periodic timers never drain: run a long window, then stop them *)
+      Engine.run_for ew (Time.ms 4_000);
+      Engine.run_for eh (Time.ms 4_000);
+      Array.iter
+        (fun (tw, th) ->
+          Timer.stop tw;
+          Timer.stop th)
+        timers;
       Engine.run ew;
       Engine.run eh;
-      List.rev !logw = List.rev !logh && Engine.now ew = Engine.now eh)
+      List.rev !logw = List.rev !logh
+      && Engine.now ew = Engine.now eh
+      && Engine.events_executed ew = Engine.events_executed eh)
+
+(* Exact allocation gate: after warm-up, a maintenance-style periodic tick
+   and RTO-style timer restarts (moved in place while pending), a
+   delayed-ACK-style timer re-armed after it fires (a pooled cell under
+   the same handle), and zero-delay posts of a prebuilt closure (the
+   lane) allocate nothing per operation.  Wheel slot vectors are sized on
+   first use, so warm-up runs until the ticks have visited every level-1
+   slot (their slot advances by a fraction of a revolution each time). *)
+let test_timer_paths_allocate_nothing () =
+  let e = Engine.create () in
+  let steps n =
+    for _ = 1 to n do
+      ignore (Engine.step e)
+    done
+  in
+  let words_of n =
+    let w0 = Gc.minor_words () in
+    steps n;
+    Gc.minor_words () -. w0
+  in
+  let tick = Timer.create e ~callback:ignore in
+  Timer.start_periodic tick (Time.ms 100);
+  steps 70_000;
+  Alcotest.(check (float 0.)) "10k periodic 100 ms ticks: 0 minor words" 0. (words_of 10_000);
+  Timer.stop tick;
+  let rto = Timer.create e ~callback:ignore in
+  let delack = ref None in
+  let noop () = () in
+  let ack =
+    Timer.create e ~callback:(fun () ->
+        Timer.start rto (Time.ms 200);
+        Engine.post e 0 noop)
+  in
+  let d =
+    Timer.create e ~callback:(fun () ->
+        match !delack with Some d -> Timer.start d (Time.ms 200) | None -> ())
+  in
+  delack := Some d;
+  Timer.start d (Time.ms 200);
+  Timer.start_periodic ack (Time.ms 1);
+  steps 140_000;
+  (* one step runs an ack tick, the next its posted no-op: 10k restarts *)
+  Alcotest.(check (float 0.)) "10k RTO restarts: 0 minor words" 0. (words_of 20_000);
+  "the restarted RTO never expired" => (Timer.is_running rto)
 
 let test_pool_shrinks_after_burst () =
   let e = Engine.create () in
@@ -463,9 +599,12 @@ let () =
           Alcotest.test_case "clamped counter" `Quick test_clamped_counter;
           Alcotest.test_case "lazy cancel pending" `Quick test_lazy_cancel_pending;
           Alcotest.test_case "run_for windows" `Quick test_run_for;
+          Alcotest.test_case "lane after run_for" `Quick test_lane_after_run_for;
           QCheck_alcotest.to_alcotest prop_engine_order;
           QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
           Alcotest.test_case "pool shrinks after burst" `Quick test_pool_shrinks_after_burst;
+          Alcotest.test_case "timer re-arm and lane paths allocate nothing" `Quick
+            test_timer_paths_allocate_nothing;
         ] );
       ( "timer",
         [

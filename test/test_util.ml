@@ -131,9 +131,10 @@ let test_rng_split_independent () =
 
 (* The reference priority queue is [Wheel] in pure-heap mode ([~slots:0]),
    the engine's [CM_ENGINE=heap] backend; these tests drive it in heap
-   terms.  The model test also runs a 4-slot wheel of 4-tick slots, so the
-   same operation streams cross its wheel, overflow and current-slot
-   stores. *)
+   terms.  The model test also runs a 4-slot wheel of 4-tick slots (level
+   2: 64 buckets of 16 ticks, a 1024-tick horizon), so the same operation
+   streams cross its current-slot, level-1, level-2 and overflow stores,
+   and keys up to 5000 ticks past the last extracted one wrap level 2. *)
 
 let heap () = Wheel.create ~slots:0 ()
 let insert h ~prio v = Wheel.insert h ~time:prio v
@@ -255,11 +256,15 @@ let test_heap_reinsert () =
    with the same operation stream (insert / extract_min / remove /
    update_prio) and require identical observable behaviour, including the
    FIFO tie-break among equal priorities.  The reference mirrors the heap's
-   sequence numbering: one fresh seq per insert *and* per update_prio. *)
+   sequence numbering: one fresh seq per insert *and* per update_prio.
+   Inserts and updates take either an absolute priority (possibly below
+   the last extracted one) or one relative to the last extracted key,
+   the way a simulation clock schedules. *)
 let prop_heap_model =
   let open QCheck in
-  let op = triple (int_bound 3) (int_bound 20) (int_bound 100) in
+  let op = triple (int_bound 5) (oneof [ int_bound 20; int_bound 5000 ]) (int_bound 100) in
   let agrees h ops =
+    let last = ref 0 in
     let seq = ref 0 in
     let next_id = ref 0 in
     (* model: association list id -> (prio, seq); handles: id -> handle *)
@@ -281,6 +286,9 @@ let prop_heap_model =
     in
     List.iter
       (fun (kind, prio, k) ->
+        let kind, prio =
+          match kind with 4 -> (0, !last + prio) | 5 -> (3, !last + prio) | _ -> (kind, prio)
+        in
         match kind with
         | 0 ->
             let id = !next_id in
@@ -293,6 +301,7 @@ let prop_heap_model =
             | None -> check (extract_min h = None)
             | Some (id, (p, _)) ->
                 model := List.remove_assoc id !model;
+                last := p;
                 check (extract_min h = Some (p, id)))
         | 2 -> (
             match pick_id k with
@@ -462,6 +471,38 @@ let prop_byte_queue_conserves =
       drain ();
       ok1 && !popped = total && Byte_queue.bytes q = 0)
 
+(* The ring against a [Stdlib.Queue] model under interleaved operations,
+   so pushes wrap the ring and grow it mid-wrap.  Elements are floats:
+   the ring must store them boxed, never as a flat float array. *)
+let prop_byte_queue_model =
+  QCheck.Test.make ~name:"byte_queue matches a FIFO model (floats, wrap, growth)" ~count:200
+    QCheck.(list (pair (int_bound 9) (int_bound 1000)))
+    (fun ops ->
+      let q = Byte_queue.create () and m = Queue.create () in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      List.iter
+        (fun (op, n) ->
+          match op with
+          | 0 | 1 | 2 | 3 | 4 ->
+              Byte_queue.push q ~size:n (float_of_int n +. 0.5);
+              Queue.push (float_of_int n +. 0.5, n) m
+          | 5 | 6 -> check (Byte_queue.pop q = Option.map fst (Queue.take_opt m))
+          | 7 -> check (Byte_queue.drop_head q = Queue.take_opt m)
+          | 8 -> check (Byte_queue.peek q = Option.map fst (Queue.peek_opt m))
+          | _ ->
+              if n mod 10 = 0 then begin
+                Byte_queue.clear q;
+                Queue.clear m
+              end)
+        ops;
+      let seen = ref [] in
+      Byte_queue.iter (fun v -> seen := v :: !seen) q;
+      check (List.rev !seen = List.of_seq (Seq.map fst (Queue.to_seq m)));
+      check (Byte_queue.length q = Queue.length m);
+      check (Byte_queue.bytes q = Queue.fold (fun acc (_, n) -> acc + n) 0 m);
+      !ok)
+
 (* ---- Fheap (float-priority indexed heap) ---------------------------- *)
 
 let test_fheap_orders () =
@@ -614,5 +655,6 @@ let () =
         [
           Alcotest.test_case "fifo with byte accounting" `Quick test_byte_queue_fifo;
           QCheck_alcotest.to_alcotest prop_byte_queue_conserves;
+          QCheck_alcotest.to_alcotest prop_byte_queue_model;
         ] );
     ]
