@@ -1,5 +1,4 @@
 type t = {
-  name : string;
   cwnd : unit -> int;
   ssthresh : unit -> int;
   in_slow_start : unit -> bool;
@@ -61,7 +60,6 @@ let aimd ?(initial_window_pkts = 1) ?(max_window = 4 * 1024 * 1024) ?initial_sst
     acked_accum := 0
   in
   {
-    name = "aimd";
     cwnd = (fun () -> !cwnd);
     ssthresh = (fun () -> !ssthresh);
     in_slow_start = (fun () -> !cwnd < !ssthresh);
@@ -111,7 +109,6 @@ let binomial ~k ~l ?(alpha = 1.0) ?(beta = 0.5) ?(initial_window_pkts = 1)
     ssthresh := ssthresh_init
   in
   {
-    name = Printf.sprintf "binomial(k=%g,l=%g)" k l;
     cwnd = (fun () -> int_of_float !cwnd);
     ssthresh = (fun () -> int_of_float !ssthresh);
     in_slow_start = (fun () -> !cwnd < !ssthresh);
@@ -181,7 +178,6 @@ let equation ?(initial_window_pkts = 1) ?(max_window = 4 * 1024 * 1024) () ~mtu 
     Cm_util.Ewma.reset interval
   in
   {
-    name = "equation";
     cwnd = (fun () -> !cwnd);
     ssthresh = (fun () -> max_window);
     in_slow_start = (fun () -> not (Cm_util.Ewma.initialized interval));

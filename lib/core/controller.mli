@@ -8,7 +8,6 @@
     the ablation benches. *)
 
 type t = {
-  name : string;
   cwnd : unit -> int;  (** Current window, payload bytes (≥ 1 MTU). *)
   ssthresh : unit -> int;  (** Slow-start threshold, payload bytes. *)
   in_slow_start : unit -> bool;  (** Whether the next ack grows the window exponentially. *)

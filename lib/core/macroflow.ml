@@ -1,8 +1,6 @@
 open Cm_util
 open Eventsim
 
-let log = Sim_log.src "cm"
-
 (* [g_dead] is the consumed/released flag: a record is marked dead in O(1)
    where it stands and physically dequeued only when it reaches the front
    of a queue, the same lazy-deletion trick the event engine uses.  Each
@@ -234,7 +232,6 @@ let maintenance_tick t =
     let g = t.gq_head in
     if g.g_dead then ignore (gq_pop t)
     else if expired g then begin
-      Logs.debug ~src:log (fun m -> m "macroflow %d: reclaiming a stale grant" t.id);
       ignore (gq_pop t);
       g.g_dead <- true;
       t.live_grants <- t.live_grants - 1;
@@ -532,9 +529,6 @@ let update t ~nsent ~nrecd ~loss ~rtt =
   (match loss with
   | Cm_types.No_loss -> ()
   | mode ->
-      Logs.debug ~src:log (fun m ->
-          m "macroflow %d: %a congestion, cwnd %d -> reacting" t.id Cm_types.pp_loss_mode mode
-            (cwnd t));
       let cwnd_before = cwnd t in
       t.ctrl.Controller.on_loss mode;
       refresh_cwnd t;
@@ -595,11 +589,6 @@ let conservation_breaches t = t.conservation_breaches
 let watchdog_fires t = t.watchdog_fires
 let last_feedback t = t.last_feedback
 let alive t = Option.is_some !(t.maintenance)
-let controller_name t = t.ctrl.Controller.name
-
-let reset_congestion_state t =
-  t.ctrl.Controller.reset ();
-  refresh_cwnd t
 
 let shutdown t =
   match !(t.maintenance) with

@@ -67,6 +67,9 @@ type prof = {
   mutable p_last : float; (* wall clock at the previous sample *)
   p_t0 : float; (* wall clock at enable *)
   p_gc0 : Gc.stat; (* quick_stat at enable; report subtracts *)
+  p_minor0 : float;
+      (* Gc.minor_words at enable: quick_stat's minor count refreshes only
+         at a minor collection, this one reads the allocation pointer *)
 }
 
 type prof_category = { pc_name : string; pc_dispatches : int; pc_wall_s : float }
@@ -162,6 +165,7 @@ let enable_prof ?(sample_shift = default_sample_shift) t =
         p_last = now_w;
         p_t0 = now_w;
         p_gc0 = Gc.quick_stat ();
+        p_minor0 = Gc.minor_words ();
       };
   t.plain <- false
 
@@ -197,7 +201,7 @@ let prof_report t =
           pr_dispatches = Array.fold_left ( + ) 0 p.p_dispatch;
           pr_samples = p.p_samples;
           pr_wall_s = Unix.gettimeofday () -. p.p_t0;
-          pr_minor_words = gc.Gc.minor_words -. p.p_gc0.Gc.minor_words;
+          pr_minor_words = Gc.minor_words () -. p.p_minor0;
           pr_major_words = gc.Gc.major_words -. p.p_gc0.Gc.major_words;
           pr_promoted_words = gc.Gc.promoted_words -. p.p_gc0.Gc.promoted_words;
           pr_minor_collections = gc.Gc.minor_collections - p.p_gc0.Gc.minor_collections;

@@ -103,8 +103,10 @@ val enable_prof : ?sample_shift:int -> t -> unit
     [2^sample_shift] dispatches (default 10, i.e. every 1024) one
     [Unix.gettimeofday] is taken and the interval since the previous
     sample is charged to the category of the event that just ran.  GC
-    counters ({!Gc.quick_stat}) are snapshotted here and differenced by
-    {!prof_report}.  Enable {e before} building the simulated system:
+    counters are snapshotted here and differenced by {!prof_report}:
+    minor words from {!Gc.minor_words} (exact at any instant), the rest
+    from {!Gc.quick_stat} (current as of the last minor collection).
+    Enable {e before} building the simulated system:
     {!prof_tag} is identity on an unprofiled engine, so closures created
     earlier stay untagged (counted as ["other"]).  Wall-clock figures are
     nondeterministic by nature — keep them out of seeded-JSON channels

@@ -67,13 +67,8 @@ let scenario_of id =
 let scenario_name id = (fst (scenario_of id)).Scenario.name
 let app_name = function Tcp_cm_bulk -> "tcp-cm-bulk" | Layered_stream -> "layered-alf"
 
-(* ---- topology: handwritten builder vs. the spec DSL --------------------- *)
+(* ---- topology: the pipe and its faults in the spec DSL ------------------ *)
 
-type via = Handwritten | Dsl
-
-(* The same pipe, authored in the spec algebra.  The parity test checks
-   that compiling this (Check.elaborate → Build.instantiate/scenario)
-   yields byte-identical family JSON to the Topology.pipe path. *)
 let spec_of id =
   Cm_spec.Spec.(
     par
@@ -85,28 +80,23 @@ let spec_of id =
         faults ~target:"fwd" (fault_steps id);
       ])
 
-(* (sender, receiver, fwd, rev, scenario) by either construction path *)
-let make_net via engine rng id =
-  match via with
-  | Handwritten ->
-      let net = Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 20) ~qdisc_limit:50 ~rng () in
-      (net.Topology.a, net.Topology.b, net.Topology.ab, net.Topology.ba, fst (scenario_of id))
-  | Dsl ->
-      let ir = Cm_spec.Check.elaborate_exn (spec_of id) in
-      let b = Cm_spec.Build.instantiate ~rng engine ir in
-      ( Cm_spec.Build.host b "a",
-        Cm_spec.Build.host b "b",
-        Cm_spec.Build.link b "fwd",
-        Cm_spec.Build.link b "rev",
-        Cm_spec.Build.scenario ~name:(name_of id) ir )
+(* (sender, receiver, fwd, rev, scenario), compiled from [spec_of] *)
+let make_net engine rng id =
+  let ir = Cm_spec.Check.elaborate_exn (spec_of id) in
+  let b = Cm_spec.Build.instantiate ~rng engine ir in
+  ( Cm_spec.Build.host b "a",
+    Cm_spec.Build.host b "b",
+    Cm_spec.Build.link b "fwd",
+    Cm_spec.Build.link b "rev",
+    Cm_spec.Build.scenario ~name:(name_of id) ir )
 
 (* ---- the two applications under test ------------------------------------ *)
 
 (* goodput timeline (value = bytes) + layer switches + forward-link stats *)
-let run_bulk params via id =
+let run_bulk params id =
   let engine = Exp_common.create_engine params () in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let a, b, ab, ba, scenario = make_net via engine rng id in
+  let a, b, ab, ba, scenario = make_net engine rng id in
   let links = [ ("fwd", ab); ("rev", ba) ] in
   let cm = Cm.create engine () in
   Cm.attach cm a;
@@ -128,10 +118,10 @@ let run_bulk params via id =
   Exp_common.maybe_report_prof params engine;
   (tl, None, Link.stats ab)
 
-let run_layered params via id =
+let run_layered params id =
   let engine = Exp_common.create_engine params () in
   let rng = Rng.create ~seed:params.Exp_common.seed in
-  let a, b, ab, ba, scenario = make_net via engine rng id in
+  let a, b, ab, ba, scenario = make_net engine rng id in
   let links = [ ("fwd", ab); ("rev", ba) ] in
   let cm = Cm.create engine ~mtu:1000 () in
   Cm.attach cm a;
@@ -181,15 +171,15 @@ let analyze ~bins_bps ~fault_start ~fault_clear =
   in
   (pre, during, recovery)
 
-let run_one ?(via = Handwritten) params ~scenario ~app =
+let run_one params ~scenario ~app =
   let sc, window = scenario_of scenario in
   let fault_start, fault_clear =
     match window with Some w -> w | None -> (Time.zero, Time.zero)
   in
   let tl, switches, stats =
     match app with
-    | Tcp_cm_bulk -> run_bulk params via scenario
-    | Layered_stream -> run_layered params via scenario
+    | Tcp_cm_bulk -> run_bulk params scenario
+    | Layered_stream -> run_layered params scenario
   in
   let bins_bps =
     List.map (fun (t, bytes_per_s) -> (t, bytes_per_s *. 8.)) (Timeline.rate_series tl ~bin ~until:duration)
@@ -210,10 +200,10 @@ let run_one ?(via = Handwritten) params ~scenario ~app =
     r_stats = stats;
   }
 
-let run ?via params =
+let run params =
   List.concat_map
     (fun scenario ->
-      List.map (fun app -> run_one ?via params ~scenario ~app) [ Tcp_cm_bulk; Layered_stream ])
+      List.map (fun app -> run_one params ~scenario ~app) [ Tcp_cm_bulk; Layered_stream ])
     [ Burst_loss; Outage; Sawtooth ]
 
 (* ---- JSON output -------------------------------------------------------- *)

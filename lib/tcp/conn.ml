@@ -2,8 +2,6 @@ open Cm_util
 open Eventsim
 open Netsim
 
-let log = Eventsim.Sim_log.src "tcp"
-
 type driver = Native | Cm_driven of Cm.t
 
 type config = {
@@ -481,8 +479,6 @@ let native_on_dupack t cc =
     cc.nat_ssthresh <- Stdlib.max (flight_size t / 2) (2 * t.config.mss);
     cc.nat_recover <- t.snd_nxt;
     cc.in_recovery <- true;
-    Logs.debug ~src:log (fun m ->
-        m "%a: fast retransmit at snd_una=%d" Addr.pp_flow t.out_flow t.snd_una);
     t.s_fast_retransmits <- t.s_fast_retransmits + 1;
     t.hole_next <- t.snd_una;
     if not (retransmit_hole t) then
@@ -615,9 +611,6 @@ let on_persist t () =
 
 let on_rto t () =
   if t.state <> Closed && t.state <> Time_wait && t.snd_una < t.snd_nxt then begin
-    Logs.debug ~src:log (fun m ->
-        m "%a: retransmission timeout (snd_una=%d snd_nxt=%d)" Addr.pp_flow t.out_flow t.snd_una
-          t.snd_nxt);
     t.s_timeouts <- t.s_timeouts + 1;
     if Telemetry.Trace.on t.trace then
       Telemetry.Trace.instant t.trace ~cat:"tcp" "tcp.rto"
@@ -1075,8 +1068,6 @@ let listen host ~port ?(driver = Native) ?(config = default_config) ~on_accept (
   Host.bind host Addr.Tcp ~port handler;
   { l_host = host; l_port = port }
 
-let stop_listening l = Host.unbind l.l_host Addr.Tcp ~port:l.l_port
-
 (* ------------------------------------------------------------------ *)
 (* Application interface *)
 
@@ -1096,8 +1087,6 @@ let close t =
         ()
     | _ -> tcp_output t
   end
-
-let abort t = become_closed t
 
 let on_receive t cb = t.recv_cb <- cb
 

@@ -3,7 +3,8 @@
     The measurement lives in {!Eventsim.Engine} ([enable_prof] /
     [prof_tag] / [prof_report]): exact per-category dispatch counters,
     sampled wall-clock attribution (one [gettimeofday] every
-    [2^sample_shift] dispatches), GC deltas from [Gc.quick_stat], and
+    [2^sample_shift] dispatches), GC deltas ([Gc.minor_words] for minor
+    words, [Gc.quick_stat] for the rest), and
     queue/pool occupancy counters.  This module turns a report into JSON
     (for the bench file) and a human-readable summary (for stderr).
 

@@ -248,78 +248,6 @@ let test_timer_expiry_visible () =
   Timer.start t (Time.ms 7);
   Alcotest.(check (option int)) "expiry time" (Some (Time.ms 7)) (Timer.expiry t)
 
-
-(* ---- Sim_log --------------------------------------------------------- *)
-
-let test_sim_log_stamps_virtual_time () =
-  let e = Engine.create () in
-  Sim_log.setup e ~level:Logs.Debug ();
-  (* capture through a custom reporter stacked on top *)
-  let captured = ref [] in
-  let report _src _lvl ~over k msgf =
-    let k _ = over (); k () in
-    msgf (fun ?header:_ ?tags:_ fmt ->
-        Format.kasprintf
-          (fun s ->
-            captured := (Engine.now e, s) :: !captured;
-            k "")
-          fmt)
-  in
-  Logs.set_reporter { Logs.report };
-  let src = Sim_log.src "test" in
-  ignore (Engine.schedule_at e (Time.ms 250) (fun () ->
-      Logs.debug ~src (fun m -> m "hello at %d" 250)));
-  Engine.run e;
-  (match !captured with
-  | [ (at, msg) ] ->
-      Alcotest.(check int) "captured at virtual time" (Time.ms 250) at;
-      Alcotest.(check string) "message body" "hello at 250" msg
-  | l -> Alcotest.fail (Printf.sprintf "expected one message, got %d" (List.length l)));
-  Logs.set_reporter Logs.nop_reporter
-
-let test_sim_log_src_memoized () =
-  "same source returned" => (Sim_log.src "cm" == Sim_log.src "cm");
-  "different names differ" => (Sim_log.src "cm" != Sim_log.src "tcp")
-
-(* the real reporter, captured through [?ppf]: lines are stamped with the
-   engine's virtual clock, not wall time *)
-let test_sim_log_reporter_virtual_stamp () =
-  let e = Engine.create () in
-  let buf = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer buf in
-  Sim_log.setup e ~level:Logs.Debug ~ppf ();
-  let src = Sim_log.src "test" in
-  ignore
-    (Engine.schedule_at e (Time.ms 250) (fun () -> Logs.debug ~src (fun m -> m "tick")));
-  Engine.run e;
-  Format.pp_print_flush ppf ();
-  let out = Buffer.contents buf in
-  let stamp = Format.asprintf "[%a]" Time.pp (Time.ms 250) in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  "stamped with virtual time" => contains out stamp;
-  "message body present" => contains out "tick";
-  Logs.set_reporter Logs.nop_reporter
-
-(* messages below the configured level never reach the sink *)
-let test_sim_log_level_filtering () =
-  let e = Engine.create () in
-  let buf = Buffer.create 256 in
-  let ppf = Format.formatter_of_buffer buf in
-  Sim_log.setup e ~level:Logs.Warning ~ppf ();
-  let src = Sim_log.src "test" in
-  Logs.debug ~src (fun m -> m "suppressed debug");
-  Logs.info ~src (fun m -> m "suppressed info");
-  Format.pp_print_flush ppf ();
-  "below-level messages suppressed" => (Buffer.length buf = 0);
-  Logs.warn ~src (fun m -> m "visible warning");
-  Format.pp_print_flush ppf ();
-  "at-level message delivered" => (Buffer.length buf > 0);
-  Logs.set_reporter Logs.nop_reporter
-
 (* ---- profiler / escape hook / occupancy stats ------------------------- *)
 
 let test_prof_counts_dispatches () =
@@ -347,6 +275,32 @@ let test_prof_counts_dispatches () =
         List.fold_left (fun acc c -> acc + c.Engine.pc_dispatches) 0 r.Engine.pr_categories
       in
       Alcotest.(check int) "categories sum to total" r.Engine.pr_dispatches sum
+
+(* Minor allocation between two minor collections must show up: the
+   young-heap words not yet collected count too.  Each event allocates
+   1,000 words as ten 100-word arrays (a single 1,000-word array would
+   skip the minor heap); ten events stay far below one minor heap, so no
+   collection runs during the measured window. *)
+let test_prof_minor_words_without_collection () =
+  Gc.minor ();
+  let e = Engine.create () in
+  Engine.enable_prof e;
+  let sink = ref [||] in
+  for i = 1 to 10 do
+    ignore
+      (Engine.schedule_at e (Time.ms i) (fun () ->
+           for _ = 1 to 10 do
+             sink := Sys.opaque_identity (Array.make 99 i)
+           done))
+  done;
+  Engine.run e;
+  match Engine.prof_report e with
+  | None -> Alcotest.fail "no prof report"
+  | Some r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "minor words >= 10000 (got %.0f)" r.Engine.pr_minor_words)
+        true
+        (r.Engine.pr_minor_words >= 10_000.)
 
 let test_prof_tag_identity_when_off () =
   let e = Engine.create () in
@@ -615,14 +569,6 @@ let () =
           Alcotest.test_case "callback can re-arm" `Quick test_timer_callback_can_rearm;
           Alcotest.test_case "expiry visible" `Quick test_timer_expiry_visible;
         ] );
-      ( "sim_log",
-        [
-          Alcotest.test_case "virtual-time stamps" `Quick test_sim_log_stamps_virtual_time;
-          Alcotest.test_case "memoized sources" `Quick test_sim_log_src_memoized;
-          Alcotest.test_case "reporter stamps virtual clock" `Quick
-            test_sim_log_reporter_virtual_stamp;
-          Alcotest.test_case "level filtering suppresses" `Quick test_sim_log_level_filtering;
-        ] );
       ( "prof",
         [
           Alcotest.test_case "exact per-category dispatch counts" `Quick
@@ -631,6 +577,11 @@ let () =
           Alcotest.test_case "escape hook fires and reraises" `Quick
             test_escape_hook_fires_and_reraises;
           Alcotest.test_case "pool and wheel occupancy stats" `Quick test_pool_and_queue_stats;
+        ] );
+      ( "prof_gc",
+        [
+          Alcotest.test_case "minor words without a minor collection" `Quick
+            test_prof_minor_words_without_collection;
         ] );
       ( "stress",
         [ Alcotest.test_case "a million events" `Slow test_engine_million_events ]);

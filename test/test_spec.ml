@@ -1,9 +1,8 @@
-(* The spec DSL pipeline: parity with the handwritten scenarios family,
-   static-check diagnostics (one negative test per code), structural
-   checks of the sugar combinators, router tables against a
-   per-destination reference, a qcheck property that random well-formed
-   specs always check clean and compile, and determinism of the three
-   DSL-native families. *)
+(* The spec DSL pipeline: static-check diagnostics (one negative test per
+   code), structural checks of the sugar combinators, router tables
+   against a per-destination reference, a qcheck property that random
+   well-formed specs always check clean and compile, and determinism of
+   the three DSL-native families. *)
 
 open Cm_util
 module Spec = Cm_spec.Spec
@@ -11,20 +10,11 @@ module Check = Cm_spec.Check
 module Build = Cm_spec.Build
 module Scenario = Cm_dynamics.Scenario
 module Exp_common = Experiments.Exp_common
-module Scenarios = Experiments.Scenarios
 module Fattree = Experiments.Fattree
 module Cdn_edge = Experiments.Cdn_edge
 module Cellular = Experiments.Cellular
 
 let params = { Exp_common.default_params with seed = 42 }
-
-(* ---- parity: DSL-compiled scenarios ≡ handwritten ----------------------- *)
-
-let test_scenarios_parity () =
-  let json via = Exp_common.Json.to_string (Scenarios.to_json params (Scenarios.run ~via params)) in
-  let hand = json Scenarios.Handwritten in
-  let dsl = json Scenarios.Dsl in
-  Alcotest.(check string) "byte-identical family JSON" hand dsl
 
 (* ---- static checks: one negative test per diagnostic code --------------- *)
 
@@ -679,8 +669,6 @@ let test_registry_specs_check () =
 let () =
   Alcotest.run "spec"
     [
-      ( "parity",
-        [ Alcotest.test_case "scenarios family: DSL ≡ handwritten" `Slow test_scenarios_parity ] );
       ( "checks",
         [
           Alcotest.test_case "clean base" `Quick test_clean_base;
