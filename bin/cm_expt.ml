@@ -30,7 +30,7 @@ let prof_arg =
 let recorder_arg =
   let doc =
     "Attach an always-on bounded flight recorder (ring of the last 4096 trace events) to \
-     families that support it and dump the ring as JSONL into $(docv) when a defense fires, \
+     every simulated system and dump the ring as JSONL into $(docv) when a defense fires, \
      an audit breach appears, or an exception escapes the event loop."
   in
   Arg.(value & opt (some string) None & info [ "recorder" ] ~docv:"DIR" ~doc)

@@ -83,20 +83,16 @@ let validate ~links ?(controls = []) t =
    recovery experiment can measure against.  Persistent renegotiations
    (Set_bandwidth, Set_loss, Ramp_bandwidth) never clear, so they are not
    counted. *)
+let action_window at = function
+  | Outage d -> Some (at, Time.add at d)
+  | Flap { down; up; cycles } -> Some (at, Time.add at (((down + up) * cycles) - up))
+  | Loss_burst { duration; _ } -> Some (at, Time.add at duration)
+  | Delay_spike { duration; _ } -> Some (at, Time.add at duration)
+  | Control_fault { duration; _ } -> Some (at, Time.add at duration)
+  | Set_bandwidth _ | Ramp_bandwidth _ | Set_loss _ -> None
+
 let fault_window t =
-  let windows =
-    List.filter_map
-      (fun { at; action; _ } ->
-        match action with
-        | Outage d -> Some (at, Time.add at d)
-        | Flap { down; up; cycles } ->
-            Some (at, Time.add at (((down + up) * cycles) - up))
-        | Loss_burst { duration; _ } -> Some (at, Time.add at duration)
-        | Delay_spike { duration; _ } -> Some (at, Time.add at duration)
-        | Control_fault { duration; _ } -> Some (at, Time.add at duration)
-        | Set_bandwidth _ | Ramp_bandwidth _ | Set_loss _ -> None)
-      t.steps
-  in
+  let windows = List.filter_map (fun { at; action; _ } -> action_window at action) t.steps in
   match windows with
   | [] -> None
   | (s0, e0) :: rest ->

@@ -58,6 +58,11 @@ val validate : links:string list -> ?controls:string list -> t -> unit
     injector), every other action against [links]; raises
     [Invalid_argument] on an unknown name. *)
 
+val action_window : Time.t -> action -> (Time.t * Time.t) option
+(** [action_window at action] is [(at, clearance)] when [action], applied
+    at [at], is a bounded disruption; [None] for a persistent
+    renegotiation.  {!fault_window} spans these windows. *)
+
 val fault_window : t -> (Time.t * Time.t) option
 (** [(first fault start, last fault clearance)] over the *bounded*
     disruptions (outages, flaps, loss bursts, delay spikes, control

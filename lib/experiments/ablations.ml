@@ -13,11 +13,11 @@ type sched_row = {
 }
 
 let run_one_sched params ~name ~scheduler ~weight_a =
-  let engine = Exp_common.create_engine params () in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Topology.pipe engine ~bandwidth_bps:4e6 ~delay:(Time.ms 20) ~rng () in
-  let cm = Cm.create engine ~mtu:1000 ~scheduler () in
-  Cm.attach cm net.Topology.a;
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine in
+  let net = Topology.pipe engine ~bandwidth_bps:4e6 ~delay:(Time.ms 20) ~rng:sys.rng () in
+  let cm = Exp_common.create_cm sys ~host:net.Topology.a ~mtu:1000 ~scheduler () in
+  Exp_common.observe sys ~links:(Exp_common.pipe_links net) ~cm ();
   let _r1 = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:7001 () in
   let _r2 = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:7002 () in
   let sock_a = Udp.Cc_socket.create net.Topology.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7001) () in
@@ -61,13 +61,13 @@ let run_scheduler params =
 type ctrl_row = { controller : string; mean_kbps : float; cv : float }
 
 let run_one_ctrl params ~name ~controller =
-  let engine = Exp_common.create_engine params () in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine in
   let net =
-    Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 25) ~qdisc_limit:30 ~rng ()
+    Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 25) ~qdisc_limit:30 ~rng:sys.rng ()
   in
-  let cm = Cm.create engine ~mtu:1000 ~controller () in
-  Cm.attach cm net.Topology.a;
+  let cm = Exp_common.create_cm sys ~host:net.Topology.a ~mtu:1000 ~controller () in
+  Exp_common.observe sys ~links:(Exp_common.pipe_links net) ~cm ();
   let receiver = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:7001 () in
   ignore receiver;
   let sock = Udp.Cc_socket.create net.Topology.a ~cm ~dst:(Addr.endpoint ~host:1 ~port:7001) () in
@@ -116,18 +116,15 @@ type share_row = {
 }
 
 let run_one_share params ~name ~use_cm =
-  let engine = Exp_common.create_engine params () in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine in
   let net =
-    Topology.pipe engine ~bandwidth_bps:6e6 ~delay:(Time.ms 25) ~qdisc_limit:40 ~rng ()
+    Topology.pipe engine ~bandwidth_bps:6e6 ~delay:(Time.ms 25) ~qdisc_limit:40 ~rng:sys.rng ()
   in
+  let cm = if use_cm then Some (Exp_common.create_cm sys ~host:net.Topology.b ()) else None in
+  Exp_common.observe sys ~links:(Exp_common.pipe_links net) ?cm ();
   let server_driver =
-    if use_cm then begin
-      let cm = Cm.create engine () in
-      Cm.attach cm net.Topology.b;
-      Tcp.Conn.Cm_driven cm
-    end
-    else Tcp.Conn.Native
+    match cm with Some cm -> Tcp.Conn.Cm_driven cm | None -> Tcp.Conn.Native
   in
   let retransmits = ref 0 in
   let _server =
@@ -217,14 +214,14 @@ let jain_index xs =
   if s2 = 0. then 1. else s *. s /. (n *. s2)
 
 let run_one_fairness params ~name ~cm_flows ~native_flows =
-  let engine = Exp_common.create_engine params () in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine in
   let net =
     Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 20) ~qdisc_limit:60
-      ~loss_rate:0.002 ~rng ()
+      ~loss_rate:0.002 ~rng:sys.rng ()
   in
-  let cm = Cm.create engine () in
-  Cm.attach cm net.Topology.a;
+  let cm = Exp_common.create_cm sys ~host:net.Topology.a () in
+  Exp_common.observe sys ~links:(Exp_common.pipe_links net) ~cm ();
   let totals = ref [] in
   let start_flow ~port ~driver =
     let delivered = ref 0 in

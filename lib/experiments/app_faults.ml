@@ -209,38 +209,20 @@ let steps_of_case = function
 
 (* ---- measurement -------------------------------------------------------- *)
 
-let window_bps tl ~from_ ~until =
-  let bytes =
-    List.fold_left
-      (fun acc (p : Timeline.point) ->
-        if p.Timeline.time >= from_ && p.Timeline.time < until then acc +. p.Timeline.value
-        else acc)
-      0. (Timeline.points tl)
-  in
-  bytes *. 8. /. Time.to_float_s (Time.diff until from_)
-
 let run_case params case =
-  let engine = Exp_common.create_engine params () in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 20) ~qdisc_limit:50 ~rng () in
   (* this family always runs defended — measuring the defenses is its point *)
-  let cm = Exp_common.create_cm { params with Exp_common.defenses = true } engine () in
-  Cm.attach cm net.Topology.a;
-  let tel =
-    Exp_common.instrument params ~engine
-      ~links:[ ("fwd", net.Topology.ab); ("rev", net.Topology.ba) ]
-      ~cm ()
-  in
+  Exp_common.with_system { params with Exp_common.defenses = true } @@ fun sys ->
+  let engine = sys.engine and rng = sys.rng in
+  let net = Topology.pipe engine ~bandwidth_bps:8e6 ~delay:(Time.ms 20) ~qdisc_limit:50 ~rng () in
+  let cm = Exp_common.create_cm sys ~host:net.Topology.a () in
   (* flight recorder: the last events before each defense firing / audit
      breach, dumped as JSONL (exercised by the CI crash-dump smoke) *)
-  let recorder =
-    Exp_common.attach_recorder params ~engine
-      ~tag:("app_faults-" ^ case_name case)
-      ~links:[ ("fwd", net.Topology.ab); ("rev", net.Topology.ba) ]
-      ~cm ()
-  in
+  Exp_common.observe sys
+    ~tag:("app_faults-" ^ case_name case)
+    ~links:[ ("fwd", net.Topology.ab); ("rev", net.Topology.ba) ]
+    ~cm ();
   let record_dump reason =
-    match recorder with
+    match sys.recorder with
     | Some r -> ignore (Telemetry.Recorder.dump r ~reason : string)
     | None -> ()
   in
@@ -325,8 +307,6 @@ let run_case params case =
   in
   ignore (Engine.schedule_at engine (Time.ms 100) probe);
   Engine.run_for engine duration;
-  Option.iter Telemetry.stop tel;
-  Exp_common.maybe_report_prof params engine;
   let open_flows = Cm.flows cm in
   let offender_reports =
     List.map
@@ -351,8 +331,8 @@ let run_case params case =
     r_watchdog_fires = Cm.watchdog_fires cm;
     r_released_grant_bytes = Cm.released_grant_bytes cm;
     r_offenders = offender_reports;
-    r_honest_pre_bps = window_bps honest_tl ~from_:warmup ~until:fault_at;
-    r_honest_post_bps = window_bps honest_tl ~from_:post_from ~until:duration;
+    r_honest_pre_bps = Exp_common.window_bps honest_tl ~from_:warmup ~until:fault_at;
+    r_honest_post_bps = Exp_common.window_bps honest_tl ~from_:post_from ~until:duration;
     r_recovery_ratio = 0.;
     r_audit_runs = !audit_runs;
     r_audit_violations = !violations;

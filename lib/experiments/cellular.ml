@@ -65,38 +65,25 @@ type result = {
 }
 
 let run params =
-  let engine = Exp_common.create_engine params () in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine and rng = sys.rng in
   let ir = Check.elaborate_exn spec in
   let net = Build.instantiate ~rng engine ir in
-  let tel =
-    Exp_common.instrument params ~engine ~links:[ ("cell.down", Build.link net "cell.down") ] ()
-  in
   let srv = Build.host net "srv" in
-  let cm = Exp_common.create_cm params engine ~mtu:1000 () in
-  Cm.attach cm srv;
+  let cm = Exp_common.create_cm sys ~host:srv ~mtu:1000 () in
+  Exp_common.observe sys ~links:[ ("cell.down", Build.link net "cell.down") ] ~cm ();
   let lib = Libcm.create srv cm () in
   let running = Launch.run net ~driver_for:(fun _ -> None) ~libcm_for:(fun _ -> lib) () in
   let sc = Build.scenario ~name:"cellular" ir in
   Cm_dynamics.Scenario.compile engine ~rng ~links:(Build.links_alist net) sc;
   Engine.run_for engine duration;
-  Option.iter Telemetry.stop tel;
   let source =
     match (Launch.find running "stream").Launch.outcomes.(0) with
     | Launch.Streaming s -> s
     | _ -> assert false
   in
   let points = Timeline.points (Cm_apps.Layered.layer_timeline source) in
-  let switches =
-    match points with
-    | [] -> 0
-    | p0 :: rest ->
-        fst
-          (List.fold_left
-             (fun (n, prev) (p : Timeline.point) ->
-               if p.Timeline.value <> prev then (n + 1, p.Timeline.value) else (n, prev))
-             (0, p0.Timeline.value) rest)
-  in
+  let switches = Timeline.changes (Cm_apps.Layered.layer_timeline source) in
   let occupancy = Array.make (Array.length layers) 0 in
   List.iter
     (fun (p : Timeline.point) ->

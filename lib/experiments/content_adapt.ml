@@ -11,11 +11,11 @@ let target_latency = Time.sec 1.
 let requests = 5
 
 let run_side params ~adaptive ~bandwidth_bps =
-  let engine = Exp_common.create_engine params () in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net = Topology.pipe engine ~bandwidth_bps ~delay:(Time.ms 40) ~rng () in
-  let cm = Cm.create engine () in
-  Cm.attach cm net.Topology.b;
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine in
+  let net = Topology.pipe engine ~bandwidth_bps ~delay:(Time.ms 40) ~rng:sys.rng () in
+  let cm = Exp_common.create_cm sys ~host:net.Topology.b () in
+  Exp_common.observe sys ~links:(Exp_common.pipe_links net) ~cm ();
   let driver = Tcp.Conn.Cm_driven cm in
   let _server =
     if adaptive then

@@ -27,39 +27,11 @@ let create_engine params () =
   if params.prof then Engine.enable_prof engine;
   engine
 
-(* Print the profile where it cannot contaminate a seeded-JSON stdout
-   channel: wall-clock figures are nondeterministic by nature. *)
-let maybe_report_prof params engine =
-  if params.prof then prerr_endline (Telemetry.Prof.summary engine)
-
-(* Honor [params.recorder] for one simulated system: a bounded flight
-   ring on [engine], tapped into the links and the CM via their
-   [set_trace] entry points.  Skipped when full telemetry is on — the
-   growable telemetry trace already keeps everything the ring would. *)
-let attach_recorder params ~engine ?(tag = "recorder") ?(links = []) ?cm () =
-  match params.recorder with
-  | Some dir when params.telemetry = None ->
-      let rec_ = Telemetry.Recorder.create engine ~out_dir:dir ~tag () in
-      let tr = Telemetry.Recorder.trace rec_ in
-      List.iter (fun (name, link) -> Link.set_trace link ~name tr) links;
-      (match cm with Some c -> Cm.set_trace c tr | None -> ());
-      Some rec_
-  | _ -> None
-
-(* Every experiment builds its CM through here so the endpoint-fault
-   defenses (feedback watchdog + misbehaviour auditor) can be toggled
-   uniformly — the bench measures their overhead this way. *)
-let create_cm params engine ?mtu ?scheduler ?grant_reclaim_after () =
-  if params.defenses then
-    Cm.create engine ?mtu ?scheduler ?grant_reclaim_after
-      ~feedback_watchdog:Cm.Macroflow.default_watchdog ~auditor:Cm.default_auditor ()
-  else Cm.create engine ?mtu ?scheduler ?grant_reclaim_after ()
-
-(* One call per simulated system inside an experiment: builds the
-   telemetry instance (when the run asked for one), wires the interesting
-   components, and captures it so the trace driver can export artifacts
-   after the run.  Experiments that were not asked to trace pay nothing —
-   this returns [None] and every component keeps its nil sink. *)
+(* The telemetry half of [observe]: builds the telemetry instance (when
+   the run asked for one), wires the interesting components, and captures
+   it so the trace driver can export artifacts after the run.  Runs that
+   were not asked to trace pay nothing — this returns [None] and every
+   component keeps its nil sink. *)
 let instrument params ~engine ?(links = []) ?cm () =
   match params.telemetry with
   | None -> None
@@ -69,6 +41,74 @@ let instrument params ~engine ?(links = []) ?cm () =
       List.iter (fun (name, link) -> Link.attach_telemetry link ~name tel) links;
       (match cm with Some c -> Cm.attach_telemetry c tel | None -> ());
       Some tel
+
+type system = {
+  params : params;
+  engine : Engine.t;
+  rng : Rng.t;
+  mutable telemetry : Telemetry.t option;
+  mutable recorder : Telemetry.Recorder.t option;
+}
+
+(* The one lifecycle of a simulated system: engine (profiler armed first)
+   and seeded RNG in, sampler stopped and profile printed out — to stderr,
+   where wall-clock figures cannot contaminate the seeded stdout. *)
+let with_system params body =
+  let sys =
+    {
+      params;
+      engine = create_engine params ();
+      rng = Rng.create ~seed:params.seed;
+      telemetry = None;
+      recorder = None;
+    }
+  in
+  Fun.protect
+    (fun () -> body sys)
+    ~finally:(fun () ->
+      Option.iter Telemetry.stop sys.telemetry;
+      if params.prof then prerr_endline (Telemetry.Prof.summary sys.engine))
+
+(* Full telemetry when the run asked to trace; otherwise the bounded
+   flight ring when it asked for a recorder — the growable telemetry
+   trace already keeps everything the ring would. *)
+let observe sys ?(tag = "recorder") ~links ?cm () =
+  match instrument sys.params ~engine:sys.engine ~links ?cm () with
+  | Some _ as tel -> sys.telemetry <- tel
+  | None -> (
+      match sys.params.recorder with
+      | None -> ()
+      | Some dir ->
+          let rec_ = Telemetry.Recorder.create sys.engine ~out_dir:dir ~tag () in
+          let tr = Telemetry.Recorder.trace rec_ in
+          List.iter (fun (name, link) -> Link.set_trace link ~name tr) links;
+          Option.iter (fun c -> Cm.set_trace c tr) cm;
+          sys.recorder <- Some rec_)
+
+(* Every experiment builds its CM through here so the endpoint-fault
+   defenses (feedback watchdog + misbehaviour auditor) can be toggled
+   uniformly — the bench measures their overhead this way. *)
+let create_cm sys ?host ?mtu ?scheduler ?controller () =
+  let feedback_watchdog, auditor =
+    if sys.params.defenses then (Some Cm.Macroflow.default_watchdog, Some Cm.default_auditor)
+    else (None, None)
+  in
+  let cm = Cm.create sys.engine ?mtu ?scheduler ?controller ?feedback_watchdog ?auditor () in
+  Option.iter (Cm.attach cm) host;
+  cm
+
+let pipe_links (net : Topology.pipe) = [ ("ab", net.ab); ("ba", net.ba) ]
+
+let window_bps tl ~from_ ~until =
+  let bytes =
+    List.fold_left
+      (fun acc (p : Timeline.point) ->
+        if p.Timeline.time >= from_ && p.Timeline.time < until then acc +. p.Timeline.value
+        else acc)
+      0. (Timeline.points tl)
+  in
+  bytes *. 8. /. Time.to_float_s (Time.diff until from_)
+
 let kbps bits_per_s = bits_per_s /. 8. /. 1000.
 
 let print_header name =
@@ -83,11 +123,13 @@ module Json = Cm_util.Json
 
 let measured_bulk params ~driver ~bandwidth_bps ~delay ?(loss = 0.) ?(qdisc_limit = 100)
     ?(costs = Costs.zero) ?(duration = Time.sec 30.) ?bytes () =
-  let engine = create_engine params () in
-  let rng = Rng.create ~seed:params.seed in
-  let net = Topology.pipe engine ~bandwidth_bps ~delay ~loss_rate:loss ~qdisc_limit ~rng ~costs () in
-  let cm = Cm.create engine () in
-  Cm.attach cm net.Topology.a;
+  with_system params @@ fun sys ->
+  let engine = sys.engine in
+  let net =
+    Topology.pipe engine ~bandwidth_bps ~delay ~loss_rate:loss ~qdisc_limit ~rng:sys.rng ~costs ()
+  in
+  let cm = create_cm sys ~host:net.Topology.a () in
+  observe sys ~links:(pipe_links net) ~cm ();
   let drv = driver (Some cm) in
   let delivered = ref 0 in
   let finished_at = ref None in

@@ -25,46 +25,16 @@ type params = {
     default, matching the paper's trusting CM; [prof] arms the event-core
     profiler on engines built via {!create_engine} (summary goes to
     stderr — wall clock is nondeterministic); [recorder] (a directory)
-    attaches a bounded flight ring via {!attach_recorder} in the families
-    that support it, dumping the last events on faults. *)
+    attaches a bounded flight ring via {!observe}, dumping the last events
+    on faults. *)
 
 val default_params : params
 (** [seed = 42], [full = false], everything else off. *)
 
 val create_engine : params -> unit -> Eventsim.Engine.t
-(** The engine factory every experiment uses: arms the profiler (before
+(** The engine factory behind {!with_system}: arms the profiler (before
     any component closures exist, so [Engine.prof_tag] wraps them) when
     [params.prof]. *)
-
-val maybe_report_prof : params -> Eventsim.Engine.t -> unit
-(** Print the profiler summary to {e stderr} when [params.prof] — never
-    to stdout, which carries the seeded byte-diffed JSON. *)
-
-val attach_recorder :
-  params ->
-  engine:Eventsim.Engine.t ->
-  ?tag:string ->
-  ?links:(string * Link.t) list ->
-  ?cm:Cm.t ->
-  unit ->
-  Telemetry.Recorder.t option
-(** Honor [params.recorder] for one simulated system: create a flight
-    recorder on [engine] (ring of the last 4096 trace events + crash
-    escape hook) and tap the [links] and [cm] into its ring.  [None]
-    when no recorder was requested or full telemetry is on (the growable
-    telemetry trace already keeps everything). *)
-
-val create_cm :
-  params ->
-  Eventsim.Engine.t ->
-  ?mtu:int ->
-  ?scheduler:Cm.Scheduler.factory ->
-  ?grant_reclaim_after:Time.span ->
-  unit ->
-  Cm.t
-(** Build a CM honoring [params.defenses] ({!Cm.default_auditor} and
-    {!Cm.Macroflow.default_watchdog} when on).  [scheduler] passes
-    through to {!Cm.create} (the scale family runs both). *)
 
 val request_telemetry : ?period:Time.span -> unit -> telemetry_request
 (** A fresh request sampling every [period] (default 100 ms virtual). *)
@@ -81,8 +51,59 @@ val instrument :
     in the request's [captured] list, and return it.  [None] (and zero
     work) when the run was not asked to trace. *)
 
+(** {1 Simulated systems}
+
+    Every experiment builds each simulated system (one engine, its
+    network, its CMs) through {!with_system}, wires observability with
+    {!observe} and builds CMs with {!create_cm}, so [prof], [recorder],
+    [telemetry] and [defenses] reach every family alike. *)
+
+type system = private {
+  params : params;
+  engine : Eventsim.Engine.t;  (** From {!create_engine}: profiler armed first. *)
+  rng : Rng.t;  (** Seeded with [params.seed]. *)
+  mutable telemetry : Telemetry.t option;  (** Set by {!observe} when [params.telemetry]. *)
+  mutable recorder : Telemetry.Recorder.t option;
+      (** Set by {!observe} when [params.recorder] and no telemetry. *)
+}
+
+val with_system : params -> (system -> 'a) -> 'a
+(** [with_system params body] creates a fresh system and runs [body] on
+    it.  When [body] returns (or raises) it stops the sampler of the
+    telemetry {!observe} wired and, with [params.prof], prints the
+    profiler summary to {e stderr} — never to stdout, which carries the
+    seeded byte-diffed output. *)
+
+val observe :
+  system -> ?tag:string -> links:(string * Link.t) list -> ?cm:Cm.t -> unit -> unit
+(** Wire the named [links], then the [cm] (gauges register in that
+    order), once per system: full telemetry via {!instrument} when
+    [params.telemetry] is set, otherwise a flight recorder (ring of the
+    last 4096 trace events + crash escape hook; dumps named after [tag],
+    default ["recorder"]) when [params.recorder] is set, otherwise
+    nothing. *)
+
+val create_cm :
+  system ->
+  ?host:Host.t ->
+  ?mtu:int ->
+  ?scheduler:Cm.Scheduler.factory ->
+  ?controller:Cm.Controller.factory ->
+  unit ->
+  Cm.t
+(** The experiments' only CM constructor: {!Cm.create} on the system's
+    engine, honoring [params.defenses] ({!Cm.default_auditor} and
+    {!Cm.Macroflow.default_watchdog} when on), attached to [host] when
+    given.  [mtu], [scheduler] and [controller] pass through. *)
+
+val pipe_links : Topology.pipe -> (string * Link.t) list
+(** A pipe's two links for {!observe}: [["ab"; "ba"]], forward first. *)
+
 val kbps : float -> float
 (** Bits/s to the paper's KBytes/s. *)
+
+val window_bps : Timeline.t -> from_:Time.t -> until:Time.t -> float
+(** Bits/s carried by a byte-valued timeline over [\[from_, until)]. *)
 
 val print_header : string -> unit
 (** Banner line for one experiment's output. *)

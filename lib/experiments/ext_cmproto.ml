@@ -11,26 +11,18 @@ type row = {
 let size = 168
 let window = 32
 
-let ops_of meter n =
-  List.filter_map
-    (fun kind ->
-      let c = Libcm.Ops.count meter kind in
-      if c = 0 then None
-      else Some (Libcm.Ops.to_string kind, float_of_int c /. float_of_int n))
-    Libcm.Ops.all
-
 (* The CM-protocol sender: same windowed workload as Fig. 6's Buffered
    variant, but acknowledgment happens kernel-to-kernel. *)
 let run_cmproto params ~n =
-  let engine = Exp_common.create_engine params () in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine in
   let net =
     Topology.pipe engine ~bandwidth_bps:100e6 ~delay:(Time.us 50) ~qdisc_limit:500
-      ~reverse_qdisc_limit:500 ~rng ~costs:Costs.pentium3 ()
+      ~reverse_qdisc_limit:500 ~rng:sys.rng ~costs:Costs.pentium3 ()
   in
   let costs = Host.costs net.Topology.a in
-  let cm = Cm.create engine ~mtu:(size + Cmproto.header_bytes) () in
-  Cm.attach cm net.Topology.a;
+  let cm = Exp_common.create_cm sys ~host:net.Topology.a ~mtu:(size + Cmproto.header_bytes) () in
+  Exp_common.observe sys ~links:(Exp_common.pipe_links net) ~cm ();
   let lib = Libcm.create net.Topology.a cm () in
   let meter = Libcm.meter lib in
   (* kernel costs of the protocol itself, charged before the agents run:
@@ -87,12 +79,12 @@ let run params =
     {
       design = "Buffered (application feedback)";
       us_per_packet = buffered_us;
-      ops = ops_of buffered_meter n;
+      ops = Fig6.per_packet_ops buffered_meter ~n;
     };
     {
       design = "CM protocol (kernel feedback)";
       us_per_packet = cmproto_us;
-      ops = ops_of cmproto_meter n;
+      ops = Fig6.per_packet_ops cmproto_meter ~n;
     };
   ]
 

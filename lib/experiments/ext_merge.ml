@@ -10,17 +10,19 @@ type row = {
 }
 
 let run_side params ~merged =
-  let engine = Exp_common.create_engine params () in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine in
   (* hosts 1, 2 and 3 all live behind the same 6 Mbit/s bottleneck from
      the sender's point of view (sender is the star's "server" side) *)
   let net =
     Topology.star engine ~n_clients:3 ~access_bps:1e8 ~access_delay:(Time.ms 1)
-      ~bottleneck_bps:6e6 ~bottleneck_delay:(Time.ms 20) ~qdisc_limit:50 ~rng ()
+      ~bottleneck_bps:6e6 ~bottleneck_delay:(Time.ms 20) ~qdisc_limit:50 ~rng:sys.rng ()
   in
   let sender = net.Topology.server in
-  let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm sender;
+  let cm = Exp_common.create_cm sys ~host:sender ~mtu:1000 () in
+  Exp_common.observe sys
+    ~links:[ ("from_server", net.Topology.from_server); ("to_server", net.Topology.to_server) ]
+    ~cm ();
   (* two CC-UDP flows to two different destination hosts *)
   let _r1 = Udp.Cc_socket.run_echo_receiver net.Topology.clients.(0) ~port:7001 () in
   let _r2 = Udp.Cc_socket.run_echo_receiver net.Topology.clients.(1) ~port:7001 () in

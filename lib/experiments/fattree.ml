@@ -46,19 +46,18 @@ type result = { r_groups : group_result list; r_edge : Link.stats }
 (** [r_edge]: the incast bottleneck, the edge-router → h0 access link. *)
 
 let run params =
-  let engine = Exp_common.create_engine params () in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine in
   let ir = Check.elaborate_exn spec in
-  let net = Build.instantiate ~rng engine ir in
-  let tel = Exp_common.instrument params ~engine ~links:[ ("edge-h0", Build.link net "p0e0->h0") ] () in
+  let net = Build.instantiate ~rng:sys.rng engine ir in
+  Exp_common.observe sys ~links:[ ("edge-h0", Build.link net "p0e0->h0") ] ();
   (* one CM per host, created lazily as flows launch on it *)
   let cms = Hashtbl.create 16 in
   let cm_for host =
     match Hashtbl.find_opt cms (Host.id host) with
     | Some cm -> cm
     | None ->
-        let cm = Exp_common.create_cm params engine () in
-        Cm.attach cm host;
+        let cm = Exp_common.create_cm sys ~host () in
         Hashtbl.replace cms (Host.id host) cm;
         cm
   in
@@ -66,7 +65,6 @@ let run params =
     Launch.run net ~driver_for:(fun h -> Some (Tcp.Conn.Cm_driven (cm_for h))) ()
   in
   Engine.run_for engine duration;
-  Option.iter Telemetry.stop tel;
   let group_result (r : Launch.running) =
     let start = r.Launch.rg.Check.g_start in
     let dones =

@@ -20,34 +20,21 @@ type table1_row = { t1_variant : variant; ops_per_packet : (string * float) list
 let sizes = [ 64; 168; 256; 512; 768; 1024; 1448 ]
 let window = 32
 
-let make_net params =
-  let engine = Exp_common.create_engine params () in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
-  let net =
-    Topology.pipe engine ~bandwidth_bps:100e6 ~delay:(Time.us 50) ~qdisc_limit:500
-      ~reverse_qdisc_limit:500 ~rng ~costs:Costs.pentium3 ()
-  in
-  (engine, net)
+let make_net (sys : Exp_common.system) =
+  Topology.pipe sys.engine ~bandwidth_bps:100e6 ~delay:(Time.us 50) ~qdisc_limit:500
+    ~reverse_qdisc_limit:500 ~rng:sys.rng ~costs:Costs.pentium3 ()
 
 (* ------------------------------------------------------------------ *)
 (* UDP-based variants: a windowed stop-and-go sender whose per-packet
    boundary crossings follow Table 1, with per-packet acknowledgments. *)
 
 let run_udp variant params ~size ~n =
-  let engine, net = make_net params in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine in
+  let net = make_net sys in
   (* the app's packets are [size] bytes; grants reserve one packet each *)
-  let cm = Exp_common.create_cm params engine ~mtu:size () in
-  Cm.attach cm net.Topology.a;
-  let tel =
-    Exp_common.instrument params ~engine
-      ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ]
-      ~cm ()
-  in
-  ignore
-    (Exp_common.attach_recorder params ~engine ~tag:"fig6-udp"
-       ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ]
-       ~cm ()
-      : Telemetry.Recorder.t option);
+  let cm = Exp_common.create_cm sys ~host:net.Topology.a ~mtu:size () in
+  Exp_common.observe sys ~tag:"fig6-udp" ~links:(Exp_common.pipe_links net) ~cm ();
   let lib = Libcm.create net.Topology.a cm () in
   let meter = Libcm.meter lib in
   let costs = Host.costs net.Topology.a in
@@ -132,27 +119,17 @@ let run_udp variant params ~size ~n =
   done;
   let finish = match !t_end with Some t -> t | None -> Engine.now engine in
   let us = Time.to_float_us (Time.diff finish t0) /. float_of_int n in
-  Option.iter Telemetry.stop tel;
-  Exp_common.maybe_report_prof params engine;
   (us, meter, engine, net)
 
 (* ------------------------------------------------------------------ *)
 (* TCP-based variants *)
 
 let run_tcp variant params ~size ~n =
-  let engine, net = make_net params in
-  let cm = Exp_common.create_cm params engine ~mtu:size () in
-  Cm.attach cm net.Topology.a;
-  let tel =
-    Exp_common.instrument params ~engine
-      ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ]
-      ~cm ()
-  in
-  ignore
-    (Exp_common.attach_recorder params ~engine ~tag:"fig6-tcp"
-       ~links:[ ("ab", net.Topology.ab); ("ba", net.Topology.ba) ]
-       ~cm ()
-      : Telemetry.Recorder.t option);
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine in
+  let net = make_net sys in
+  let cm = Exp_common.create_cm sys ~host:net.Topology.a ~mtu:size () in
+  Exp_common.observe sys ~tag:"fig6-tcp" ~links:(Exp_common.pipe_links net) ~cm ();
   let lib = Libcm.create net.Topology.a cm () in
   let meter = Libcm.meter lib in
   let delayed = variant <> Tcp_cm_nodelay in
@@ -197,8 +174,6 @@ let run_tcp variant params ~size ~n =
   done;
   let finish = match !t_end with Some t -> t | None -> Engine.now engine in
   let us = Time.to_float_us (Time.diff finish t0) /. float_of_int n in
-  Option.iter Telemetry.stop tel;
-  Exp_common.maybe_report_prof params engine;
   (us, meter, engine, net)
 
 let run_variant_full variant params ~size ~n =
@@ -222,20 +197,19 @@ let run params =
       (v, points))
     all_variants
 
+let per_packet_ops meter ~n =
+  List.filter_map
+    (fun kind ->
+      let c = Libcm.Ops.count meter kind in
+      if c = 0 then None else Some (Libcm.Ops.to_string kind, float_of_int c /. float_of_int n))
+    Libcm.Ops.all
+
 let run_table1 params =
   let n = 5_000 in
   List.map
     (fun v ->
       let _, meter = run_variant v params ~size:168 ~n in
-      let ops =
-        List.filter_map
-          (fun kind ->
-            let c = Libcm.Ops.count meter kind in
-            if c = 0 then None
-            else Some (Libcm.Ops.to_string kind, float_of_int c /. float_of_int n))
-          Libcm.Ops.all
-      in
-      { t1_variant = v; ops_per_packet = ops })
+      { t1_variant = v; ops_per_packet = per_packet_ops meter ~n })
     all_variants
 
 let print series =

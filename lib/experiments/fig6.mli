@@ -36,6 +36,10 @@ val run : Exp_common.params -> (variant * point list) list
 val run_table1 : Exp_common.params -> table1_row list
 (** Per-packet operation counts at 168-byte packets. *)
 
+val per_packet_ops : Libcm.Ops.meter -> n:int -> (string * float) list
+(** Each boundary operation [meter] counted, per packet of [n], in
+    {!Libcm.Ops.all} order; operations never counted are left out. *)
+
 val print : (variant * point list) list -> unit
 (** Print the Fig. 6 series. *)
 

@@ -31,8 +31,8 @@ let schedule duration =
   extend [] 0
 
 let run_one params ~label ~mode ~duration ~batch =
-  let engine = Exp_common.create_engine params () in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine and rng = sys.rng in
   let net =
     Topology.pipe engine ~bandwidth_bps:18e6 ~delay:(Time.ms 20) ~qdisc_limit:50
       ~reverse_qdisc_limit:200 ~rng ()
@@ -41,13 +41,8 @@ let run_one params ~label ~mode ~duration ~batch =
     ~links:[ ("wan", net.Topology.ab) ]
     (Cm_dynamics.Scenario.of_bandwidth_schedule ~name:"fig8-10 vBNS path" ~target:"wan"
        (schedule duration));
-  let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm net.Topology.a;
-  let tel =
-    Exp_common.instrument params ~engine
-      ~links:[ ("wan", net.Topology.ab); ("rev", net.Topology.ba) ]
-      ~cm ()
-  in
+  let cm = Exp_common.create_cm sys ~host:net.Topology.a ~mtu:1000 () in
+  Exp_common.observe sys ~links:[ ("wan", net.Topology.ab); ("rev", net.Topology.ba) ] ~cm ();
   let lib = Libcm.create net.Topology.a cm () in
   let _receiver = Udp.Cc_socket.run_echo_receiver net.Topology.b ~port:5004 ?batch () in
   let feedback_timeout =
@@ -63,7 +58,6 @@ let run_one params ~label ~mode ~duration ~batch =
   Cm_apps.Layered.start source;
   Engine.run_for engine duration;
   Cm_apps.Layered.stop source;
-  Option.iter Telemetry.stop tel;
   let bin = Time.sec 1. in
   let tx = Timeline.rate_series (Cm_apps.Layered.tx_timeline source) ~bin ~until:duration in
   let cmr =

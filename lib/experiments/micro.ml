@@ -5,19 +5,15 @@ open Netsim
 type result = { linux_setup_us : float; cm_setup_us : float; cm_open_close_ns : float }
 
 let setup_time params ~use_cm =
-  let engine = Exp_common.create_engine params () in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine in
   let net =
-    Topology.pipe engine ~bandwidth_bps:100e6 ~delay:(Time.us 100) ~rng ~costs:Costs.pentium3 ()
+    Topology.pipe engine ~bandwidth_bps:100e6 ~delay:(Time.us 100) ~rng:sys.rng
+      ~costs:Costs.pentium3 ()
   in
-  let driver =
-    if use_cm then begin
-      let cm = Cm.create engine () in
-      Cm.attach cm net.Topology.a;
-      Tcp.Conn.Cm_driven cm
-    end
-    else Tcp.Conn.Native
-  in
+  let cm = if use_cm then Some (Exp_common.create_cm sys ~host:net.Topology.a ()) else None in
+  Exp_common.observe sys ~links:(Exp_common.pipe_links net) ?cm ();
+  let driver = match cm with Some cm -> Tcp.Conn.Cm_driven cm | None -> Tcp.Conn.Native in
   let _l = Tcp.Conn.listen net.Topology.b ~port:80 ~on_accept:(fun _ -> ()) () in
   let established_at = ref None in
   let t0 = Engine.now engine in
@@ -59,6 +55,7 @@ let print r =
     (Printf.sprintf "TCP/Linux connect -> established: %10.1f us" r.linux_setup_us);
   Exp_common.print_row
     (Printf.sprintf "TCP/CM    connect -> established: %10.1f us" r.cm_setup_us);
-  Exp_common.print_row
+  (* wall clock differs run to run: stderr, so stdout stays seeded *)
+  prerr_endline
     (Printf.sprintf "cm_open + cm_close bookkeeping:   %10.0f ns (host wall clock)"
        r.cm_open_close_ns)

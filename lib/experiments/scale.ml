@@ -57,12 +57,10 @@ let percentile sorted q =
   else sorted.(Stdlib.min (n - 1) (int_of_float (q *. float_of_int n)))
 
 let run_point ?(rounds = rounds) params ~sched ~flows =
-  let engine = Exp_common.create_engine params () in
-  let cm =
-    Exp_common.create_cm params engine ~mtu ~scheduler:(sched_factory sched) ()
-  in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine and rng = sys.rng in
+  let cm = Exp_common.create_cm sys ~mtu ~scheduler:(sched_factory sched) () in
   let dests = Stdlib.max 1 (flows / flows_per_mf) in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
   (* All of a flow's loop state lives in one record — one cache line per
      flow on the hot cycle instead of a line per parallel array.  At
      N=16384 the per-flow state is what the cycle cost is made of, so its

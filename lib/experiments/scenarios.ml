@@ -94,13 +94,12 @@ let make_net engine rng id =
 
 (* goodput timeline (value = bytes) + layer switches + forward-link stats *)
 let run_bulk params id =
-  let engine = Exp_common.create_engine params () in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine and rng = sys.rng in
   let a, b, ab, ba, scenario = make_net engine rng id in
   let links = [ ("fwd", ab); ("rev", ba) ] in
-  let cm = Cm.create engine () in
-  Cm.attach cm a;
-  let tel = Exp_common.instrument params ~engine ~links ~cm () in
+  let cm = Exp_common.create_cm sys ~host:a () in
+  Exp_common.observe sys ~links ~cm ();
   let tl = Timeline.create () in
   let _listener =
     Tcp.Conn.listen b ~port:80
@@ -114,18 +113,15 @@ let run_bulk params id =
   Tcp.Conn.send conn (1 lsl 34);
   Scenario.compile engine ~rng ~links scenario;
   Engine.run_for engine duration;
-  Option.iter Telemetry.stop tel;
-  Exp_common.maybe_report_prof params engine;
   (tl, None, Link.stats ab)
 
 let run_layered params id =
-  let engine = Exp_common.create_engine params () in
-  let rng = Rng.create ~seed:params.Exp_common.seed in
+  Exp_common.with_system params @@ fun sys ->
+  let engine = sys.engine and rng = sys.rng in
   let a, b, ab, ba, scenario = make_net engine rng id in
   let links = [ ("fwd", ab); ("rev", ba) ] in
-  let cm = Cm.create engine ~mtu:1000 () in
-  Cm.attach cm a;
-  let tel = Exp_common.instrument params ~engine ~links ~cm () in
+  let cm = Exp_common.create_cm sys ~host:a ~mtu:1000 () in
+  Exp_common.observe sys ~links ~cm ();
   let lib = Libcm.create a cm () in
   let _receiver = Udp.Cc_socket.run_echo_receiver b ~port:5004 () in
   let source =
@@ -138,18 +134,7 @@ let run_layered params id =
   Scenario.compile engine ~rng ~links scenario;
   Engine.run_for engine duration;
   Cm_apps.Layered.stop source;
-  Option.iter Telemetry.stop tel;
-  Exp_common.maybe_report_prof params engine;
-  let switches =
-    match Timeline.points (Cm_apps.Layered.layer_timeline source) with
-    | [] -> 0
-    | p0 :: rest ->
-        fst
-          (List.fold_left
-             (fun (n, prev) (p : Timeline.point) ->
-               if p.Timeline.value <> prev then (n + 1, p.Timeline.value) else (n, prev))
-             (0, p0.Timeline.value) rest)
-  in
+  let switches = Timeline.changes (Cm_apps.Layered.layer_timeline source) in
   (Cm_apps.Layered.tx_timeline source, Some switches, Link.stats ab)
 
 (* ---- metrics ------------------------------------------------------------ *)

@@ -158,18 +158,6 @@ let iter_routes ir f =
       end)
     ir.ir_nodes
 
-(* ---- fault windows ------------------------------------------------------ *)
-
-(* The window of a bounded disruption (mirrors Scenario.fault_window's
-   per-action clearance rule); persistent renegotiations have none. *)
-let step_window at = function
-  | Scenario.Outage d -> Some (at, Time.add at d)
-  | Scenario.Flap { down; up; cycles } -> Some (at, Time.add at (((down + up) * cycles) - up))
-  | Scenario.Loss_burst { duration; _ } -> Some (at, Time.add at duration)
-  | Scenario.Delay_spike { duration; _ } -> Some (at, Time.add at duration)
-  | Scenario.Control_fault { duration; _ } -> Some (at, Time.add at duration)
-  | Scenario.Set_bandwidth _ | Scenario.Ramp_bandwidth _ | Scenario.Set_loss _ -> None
-
 (* ---- app parameters ----------------------------------------------------- *)
 
 (* The rate an app insists on regardless of congestion feedback — what the
@@ -400,7 +388,7 @@ let elaborate spec =
   let by_target = Hashtbl.create 8 in
   Array.iter
     (fun f ->
-      match step_window f.f_at f.f_action with
+      match Scenario.action_window f.f_at f.f_action with
       | Some w ->
           let prev = try Hashtbl.find by_target f.f_target with Not_found -> [] in
           Hashtbl.replace by_target f.f_target ((w, f) :: prev)
@@ -529,7 +517,7 @@ let summary_json ir =
       ]
   in
   let fault_json f =
-    let window = step_window f.f_at f.f_action in
+    let window = Scenario.action_window f.f_at f.f_action in
     Obj
       [
         ("target", Str (fault_target_name ir f.f_target));

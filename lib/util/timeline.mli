@@ -39,3 +39,7 @@ val sampled_series : t -> bin:Time.span -> until:Time.t -> (Time.t * float) list
 
 val mean_value : t -> float
 (** Mean of all sample values; [nan] if empty. *)
+
+val changes : t -> int
+(** Number of samples whose value differs from the one before (e.g. the
+    layer switches of a layer timeline). *)

@@ -405,6 +405,40 @@ let test_fairness_jain () =
       "cm macroflow perfectly fair" => (cm_only.Experiments.Ablations.jain > 0.999)
   | _ -> Alcotest.fail "expected three rows"
 
+(* Run [f] with file descriptor 2 redirected to a temp file; return what
+   it wrote there. *)
+let capture_stderr f =
+  let path = Filename.temp_file "cm-prof" ".err" in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  Fun.protect f ~finally:(fun () ->
+      flush stderr;
+      Unix.dup2 saved Unix.stderr;
+      Unix.close saved);
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  text
+
+(* [prof] reaches every family: each simulated system prints its profiler
+   summary to stderr when it finishes. *)
+let test_prof_summary name () =
+  match Experiments.Family.find name with
+  | None -> Alcotest.failf "no family %s" name
+  | Some f ->
+      let err =
+        capture_stderr (fun () ->
+            f.Experiments.Family.run { quick_params with Experiments.Exp_common.prof = true })
+      in
+      let summaries =
+        List.filter (String.starts_with ~prefix:"profiler:") (String.split_on_char '\n' err)
+      in
+      (name ^ " prints a profiler summary") => (summaries <> [])
+
 let () =
   Alcotest.run "integration"
     [
@@ -436,4 +470,8 @@ let () =
           Alcotest.test_case "fig8 tracks schedule" `Slow test_fig8_tracks_schedule;
           Alcotest.test_case "fairness jain index" `Slow test_fairness_jain;
         ] );
+      ( "observability",
+        List.map
+          (fun name -> Alcotest.test_case name `Quick (test_prof_summary name))
+          [ "fig7"; "merge"; "phttp"; "ablation_share" ] );
     ]
